@@ -21,9 +21,18 @@ from .errors import (
     RiemannRelationsViolated,
 )
 from .fp import PrimeContext
-from .lattice import embed, find_polarization, period_matrix, period_report
+from .lattice import COMPOSED_TOL, embed, find_polarization, period_matrix, period_report
 from .orbits import burnside_count, orbit_classes, stabilizer
 from .strata import SpectrumProfile, classification_row, stratum_dimension
+
+# The exit code of each error class; the module docstring says what they mean.
+EXIT_CODES = {
+    ValueError: 2,
+    EnumerationCapExceeded: 3,
+    PolarizationNotFound: 4,
+    RiemannRelationsViolated: 5,
+    InternalCheckFailed: 5,
+}
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -38,22 +47,32 @@ def _lattice_witness(ctx: PrimeContext, cm: CmType, bound: int) -> dict:
     data = period_matrix(embed(ctx, cm), polarization)
     doc, report = period_report(data)
     if not report.all_ok:
-        failed = [name for name, ok in doc["checks"].items() if not ok]
+        measured = {"fixes_tau": report.fixes_tau_error, "spectrum": report.spectrum_error}
+        failed = [
+            f"{name} error {measured[name]:.2g} >= {COMPOSED_TOL:g}" if name in measured else name
+            for name, ok in doc["checks"].items() if not ok
+        ]
         raise InternalCheckFailed(
             f"automorphism checks failed for set {list(cm.members)}: {', '.join(failed)}"
         )
     return doc
 
 
-def run_classify(p: int, with_lattice: bool = False, bound: int = 5,
-                 cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
-    ctx = PrimeContext(p)
+def _checked_orbit_classes(ctx: PrimeContext, cap: int) -> list:
+    """The orbit classes, cross-checked against the Burnside count."""
     classes = orbit_classes(ctx, cap)
     expected = burnside_count(ctx)
     if expected != len(classes):
         raise InternalCheckFailed(
             f"Burnside count {expected} != enumerated orbit count {len(classes)}"
         )
+    return classes
+
+
+def run_classify(p: int, with_lattice: bool = False, bound: int = 5,
+                 cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
+    ctx = PrimeContext(p)
+    classes = _checked_orbit_classes(ctx, cap)
     rows = []
     for cls in classes:
         row = cls.to_json()
@@ -69,12 +88,7 @@ def run_classify(p: int, with_lattice: bool = False, bound: int = 5,
 
 def run_orbits(p: int, cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
     ctx = PrimeContext(p)
-    classes = orbit_classes(ctx, cap)
-    expected = burnside_count(ctx)
-    if expected != len(classes):
-        raise InternalCheckFailed(
-            f"Burnside count {expected} != enumerated orbit count {len(classes)}"
-        )
+    classes = _checked_orbit_classes(ctx, cap)
     return {"version": __version__, "p": p, "g": ctx.g,
             "orbit_count": len(classes), "classes": [c.to_json() for c in classes]}
 
@@ -219,18 +233,9 @@ def main(argv=None) -> int:
             doc = run_period(args.p, _parse_ints(args.set), args.bound)
         else:
             doc = run_spectrum(args.p, _parse_ints(args.exponents))
-    except ValueError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EnumerationCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except PolarizationNotFound as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (RiemannRelationsViolated, InternalCheckFailed) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
     sys.stdout.write(render(doc, args.format))
     return 0
 

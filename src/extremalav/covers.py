@@ -10,10 +10,10 @@ ties concrete curves to the lattice classification.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cmtypes import CmType, is_cm_type
 from .fp import PrimeContext
+from .lattice import int_rank_det
 from .strata import classification_row
 
 
@@ -58,25 +58,6 @@ def _closed_form_multiplicity(spec: CyclicCoverSpec, t: int) -> int:
     return sum(t * a % p for a in spec.exponents) // p - 1
 
 
-def _rank(rows) -> int:
-    """Rank over Q of integer coefficient vectors (Gaussian elimination)."""
-    matrix = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(rank, len(matrix)) if matrix[i][col]), None)
-        if pivot is None:
-            continue
-        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
-        inv = 1 / matrix[rank][col]
-        matrix[rank] = [v * inv for v in matrix[rank]]
-        for i in range(len(matrix)):
-            if i != rank and matrix[i][col]:
-                f = matrix[i][col]
-                matrix[i] = [v - f * w for v, w in zip(matrix[i], matrix[rank])]
-        rank += 1
-    return rank
-
-
 def _bruteforce_multiplicity(spec: CyclicCoverSpec, t: int) -> int:
     """Dimension of the character-t eigenspace by explicit differentials.
 
@@ -105,7 +86,7 @@ def _bruteforce_multiplicity(spec: CyclicCoverSpec, t: int) -> int:
             for _ in range(low + extra):
                 poly = [c1 - e * c0 for c1, c0 in zip([0] + poly, poly + [0])]
         vectors.append(poly + [0] * (degree_cap + 1 - len(poly)))
-    return _rank(vectors)
+    return int_rank_det(vectors)[0]
 
 
 def cw_spectrum(spec: CyclicCoverSpec) -> dict[int, int]:

@@ -14,16 +14,17 @@ quotient torus is a principally polarized abelian variety; a symplectic basis
 then yields a symmetric period matrix tau with positive-definite imaginary
 part, and multiplication by xi descends to an automorphism fixing tau.
 
-Integer computations (Pfaffian, symplectic reduction, the induced lattice
-automorphism) are exact over Python integers and rationals; only the period
-matrix itself and its verification are floating point.
+Integer computations are exact.  The Pfaffian uses rational intermediates;
+symplectic reduction and the induced lattice automorphism are computed over
+the integers only, with no rationals.  Floating point enters only in the
+polarization prescreen, whose every hit an exact Pfaffian confirms, and in
+the period matrix itself and its verification.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -63,44 +64,42 @@ def _int_transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def int_det(A) -> int:
-    """Exact determinant of an integer matrix (Bareiss fraction-free elimination)."""
-    M = [row[:] for row in A]
-    n = len(M)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            M[k], M[pivot] = M[pivot], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
+def int_rank_det(A) -> tuple[int, int]:
+    """Rank and determinant of an integer matrix by fraction-free (Bareiss)
+    elimination.
 
-
-def _solve_exact(A, B):
-    """Solve A X = B over the rationals by Gauss-Jordan; A square nonsingular."""
-    n = len(A)
-    m = len(B[0])
-    aug = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(B[i][j]) for j in range(m)]
-           for i in range(n)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
+    Every intermediate entry is a minor of ``A``, so each division is exact.
+    Columns without a pivot are skipped, which makes the routine work on
+    rectangular matrices too; the determinant is 0 unless ``A`` is square
+    and of full rank.
+    """
+    M = [list(row) for row in A]
+    n_rows, n_cols = len(M), len(M[0]) if M else 0
+    rank, sign, prev = 0, 1, 1
+    for col in range(n_cols):
+        if rank == n_rows:
+            break
+        pivot = next((i for i in range(rank, n_rows) if M[i][col]), None)
         if pivot is None:
-            raise InternalCheckFailed("singular matrix in exact solve")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
+            continue
+        if pivot != rank:
+            M[rank], M[pivot] = M[pivot], M[rank]
+            sign = -sign
+        top = M[rank]
+        d = top[col]
+        for row in M[rank + 1:]:
+            f = row[col]
+            for j in range(col + 1, n_cols):
+                row[j] = (row[j] * d - f * top[j]) // prev
+        prev = d
+        rank += 1
+    det = sign * prev if rank == n_rows == n_cols else 0
+    return rank, det
+
+
+def int_det(A) -> int:
+    """Exact determinant of a square integer matrix."""
+    return int_rank_det(A)[1]
 
 
 def pfaffian(E) -> int:
@@ -313,26 +312,15 @@ def build_polarization(ctx: PrimeContext, cm: CmType, c) -> PolarizationForm:
     )
 
 
-@lru_cache(maxsize=None)
-def _unimodular_pfaffian(p: int, c: tuple[int, ...]):
-    """Exact Pfaffian of the c-form when it is +-1, else None.
-
-    A float determinant prescreen skips the exact elimination on the bulk of
-    candidates; it only ever has to separate the integers det = 1 and
-    det != 1, which double precision does with room to spare at these sizes.
-    """
-    ctx = PrimeContext(p)
-    gram = gram_matrix(ctx, c)
-    det = abs(np.linalg.det(np.array(gram, dtype=np.float64)))
-    if abs(det - 1.0) > 0.5:
-        return None
-    pf = pfaffian(gram)
-    return pf if abs(pf) == 1 else None
-
-
 def find_polarization(ctx: PrimeContext, cm: CmType, bound: int = 5) -> PolarizationForm:
     """First coefficient vector in the box [-bound, bound]**g (lexicographic
     order) whose form is unimodular and positive on every selected embedding.
+
+    With s_j = sum_k c_k sin(2 pi j k / p), positivity is s_j > 0 for j in the
+    CM type, and the Pfaffian has the closed form |Pf| = prod_j 2 s_j / sqrt(p).
+    |Pf| is an integer, so comparing prod_j s_j with sqrt(p) / 2**g to within
+    half of that value separates |Pf| = 1 from every other value with room to
+    spare; the exact Pfaffian then decides each hit.
 
     Raises ``PolarizationNotFound`` when the box is exhausted.
     """
@@ -342,6 +330,7 @@ def find_polarization(ctx: PrimeContext, cm: CmType, bound: int = 5) -> Polariza
     sin_matrix = np.sin(
         2 * np.pi * np.outer(cm.members, np.arange(1, g + 1)) / p
     )  # rows: members
+    unit_product = math.sqrt(p) / 2**g  # prod_j s_j when |Pf| = 1
     candidates = itertools.product(range(-bound, bound + 1), repeat=g)
     chunk_size = 1 << 13
     while True:
@@ -349,10 +338,12 @@ def find_polarization(ctx: PrimeContext, cm: CmType, bound: int = 5) -> Polariza
         if not chunk:
             break
         signs = np.asarray(chunk, dtype=np.float64) @ sin_matrix.T
-        for idx in np.flatnonzero((signs > 0.0).all(axis=1)):
-            c = chunk[idx]
-            if _unimodular_pfaffian(p, c) is not None:
-                return build_polarization(ctx, cm, c)
+        positive = np.flatnonzero((signs > 0.0).all(axis=1))
+        products = signs[positive].prod(axis=1)
+        for idx in positive[np.abs(products - unit_product) < unit_product / 2]:
+            form = build_polarization(ctx, cm, chunk[idx])
+            if abs(form.pfaffian) == 1:
+                return form
     raise PolarizationNotFound(
         f"no polarization in box [-{bound}, {bound}]^{g} for set {list(cm.members)} mod {p}"
     )
@@ -425,11 +416,12 @@ def period_matrix(embedding: CmEmbedding, polarization: PolarizationForm) -> Per
             f"Riemann relations violated for c = {list(polarization.c)} "
             f"on set {list(embedding.cm_type.members)}"
         )
+    # U^T E U = J and J^-1 = -J give U^-1 = -J U^T E, so the induced
+    # automorphism R = U^-1 M U is an integer product.
     M = multiplication_matrix(ctx)
-    R_frac = _solve_exact(U, _int_matmul(M, U))
-    if any(x.denominator != 1 for row in R_frac for x in row):
-        raise InternalCheckFailed("induced automorphism is not integral")
-    R = [[int(x) for x in row] for row in R_frac]
+    neg_J = [[-x for x in row] for row in standard_symplectic(g)]
+    U_inv = _int_matmul(neg_J, _int_matmul(_int_transpose(U), E))
+    R = _int_matmul(_int_matmul(U_inv, M), U)
     freeze = lambda A: tuple(tuple(row) for row in A)
     return PeriodData(
         ctx, embedding.cm_type, polarization, freeze(U), freeze(M), freeze(R), tau, block_swapped

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .cmtypes import CmType
 from .fp import PrimeContext, element_order, is_prime
-from .orbits import act, canonical_form, stabilizer
+from .orbits import Stabilizer, act, canonical_form, stabilizer
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,10 @@ def containing_strata(ctx: PrimeContext, cm: CmType) -> list[StratumReport]:
     For each q the witness theta is the smallest stabilizer element of order
     q.  Empty exactly when the class is isolated.
     """
-    stab = stabilizer(ctx, cm)
+    return _strata(ctx, cm, stabilizer(ctx, cm))
+
+
+def _strata(ctx: PrimeContext, cm: CmType, stab: Stabilizer) -> list[StratumReport]:
     reports = []
     order = stab.order
     q = 2
@@ -163,11 +166,12 @@ def containing_strata(ctx: PrimeContext, cm: CmType) -> list[StratumReport]:
 def classification_row(ctx: PrimeContext, cm: CmType) -> dict:
     """Classification verdict for the orbit of ``cm``, as a JSON-ready row."""
     canonical = canonical_form(ctx, cm)
+    stab = stabilizer(ctx, canonical)
     return {
         "canonical": list(canonical.members),
-        "isolated": is_isolated(ctx, canonical),
-        "simple": is_simple(ctx, canonical),
+        "isolated": stab.order == 1,
+        "simple": stab.order == 1,
         "sum_mod_p": sum(canonical.members) % ctx.p,
-        "stabilizer_order": stabilizer(ctx, canonical).order,
-        "containing_strata": [r.to_json() for r in containing_strata(ctx, canonical)],
+        "stabilizer_order": stab.order,
+        "containing_strata": [r.to_json() for r in _strata(ctx, canonical, stab)],
     }

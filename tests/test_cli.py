@@ -1,6 +1,7 @@
 """End-to-end command line behavior: envelopes, formats, exit codes."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -224,11 +225,19 @@ def test_degenerate_witness_exits_5(capsys, monkeypatch):
     assert "Riemann relations violated" in err
 
 
-def test_internal_mismatch_exits_5(capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["classify", "orbits"])
+def test_internal_mismatch_exits_5(capsys, monkeypatch, command):
     monkeypatch.setattr(cli, "burnside_count", lambda ctx: 99)
-    code, _, err = run(capsys, "classify", "--p", "7")
+    code, _, err = run(capsys, command, "--p", "7")
     assert code == 5
     assert "Burnside count" in err
+
+
+def test_failed_check_names_measured_error(capsys):
+    code, out, err = run(capsys, "period", "--p", "11", "--set", "2,4,6,8,10")
+    assert code == 5
+    assert out == ""
+    assert re.search(r"fixes_tau error \d\.?\d*e-\d+ >= 1e-08", err)
 
 
 # ---------------------------------------------------------------------------

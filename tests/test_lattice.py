@@ -8,6 +8,7 @@ alternating form against the field trace evaluated with complex arithmetic.
 
 import cmath
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from extremalav.lattice import (
     find_polarization,
     gram_matrix,
     int_det,
+    int_rank_det,
     multiplication_matrix,
     period_matrix,
     period_report,
@@ -68,6 +70,22 @@ def det_oracle(A):
     for i in range(n):
         prod *= M[i][i]
     return int(prod)
+
+
+def rank_oracle(A):
+    """Rank by plain rational row reduction."""
+    M = [[Fraction(x) for x in row] for row in A]
+    rank = 0
+    for col in range(len(M[0])):
+        piv = next((r for r in range(rank, len(M)) if M[r][col]), None)
+        if piv is None:
+            continue
+        M[piv], M[rank] = M[rank], M[piv]
+        for r in range(rank + 1, len(M)):
+            f = M[r][col] / M[rank][col]
+            M[r] = [x - f * y for x, y in zip(M[r], M[rank])]
+        rank += 1
+    return rank
 
 
 def pfaffian_oracle(E):
@@ -118,6 +136,18 @@ def test_int_det_matches_gaussian_elimination(n):
 
 def test_int_det_singular():
     assert int_det([[1, 2], [2, 4]]) == 0
+
+
+@pytest.mark.parametrize("rows,cols", [(3, 5), (5, 3), (4, 4), (6, 7)])
+def test_int_rank_det_rank_of_low_rank_products(rows, cols):
+    for _ in range(8):
+        inner = rng.randint(1, min(rows, cols))
+        A = [[rng.randint(-4, 4) for _ in range(inner)] for _ in range(rows)]
+        B = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(inner)]
+        AB = matmul(A, B)
+        rank, det = int_rank_det(AB)
+        assert rank == rank_oracle(AB)
+        assert det == (det_oracle(AB) if rows == cols else 0)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -320,11 +350,27 @@ def test_find_polarization_bad_bound():
 
 
 def test_find_polarization_exhausts_box(monkeypatch):
-    """With unimodularity unattainable the search must fail loudly."""
-    monkeypatch.setattr(lattice, "_unimodular_pfaffian", lambda p, c: None)
+    """The exact Pfaffian decides every hit of the closed-form prescreen: with
+    no candidate exactly unimodular the search must fail loudly."""
+    monkeypatch.setattr(lattice, "pfaffian", lambda E: 3)
     ctx = PrimeContext(7)
     with pytest.raises(PolarizationNotFound, match="no polarization in box"):
         find_polarization(ctx, CmType(ctx, (1, 2, 3)), bound=1)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])
+def test_pfaffian_closed_form(p):
+    """|Pf| = prod_{j in C} |2 s_j| / sqrt(p), s_j = sum_k c_k sin(2 pi j k / p), for
+    any CM type C: the identity behind the prescreen in ``find_polarization``."""
+    ctx = PrimeContext(p)
+    for _ in range(6):
+        c = [rng.randint(-5, 5) for _ in range(ctx.g)]
+        members = [rng.choice((j, p - j)) for j in range(1, ctx.g + 1)]
+        closed = math.prod(
+            abs(2 * sum(ck * math.sin(2 * math.pi * j * k / p) for k, ck in enumerate(c, 1)))
+            for j in members
+        ) / math.sqrt(p)
+        assert closed == pytest.approx(abs(pfaffian(gram_matrix(ctx, c))), rel=1e-9)
 
 
 def test_build_polarization_validates_length():
@@ -402,6 +448,15 @@ def test_automorphism_checks_pass(p):
         assert report.all_ok
         assert report.fixes_tau_error < COMPOSED_TOL
         assert report.spectrum_error < COMPOSED_TOL
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_induced_automorphism_intertwines(p):
+    """U R = M U exactly: R is multiplication by xi in the symplectic basis."""
+    ctx = PrimeContext(p)
+    for cls in orbit_classes(ctx):
+        data = pipeline(p, cls.canonical.members, bound=1)
+        assert matmul(data.U, data.R) == matmul(data.M, data.U)
 
 
 def test_degenerate_vector_raises():
