@@ -11,8 +11,17 @@ from dataclasses import dataclass
 from .errors import EnumerationCapExceeded
 from .fp import PrimeContext
 
-#: Refuse to materialize more than this many CM types at once.
+#: Refuse to sweep more than this many CM types.  The orbit sweep holds one
+#: byte per CM type, so the default bounds it at 16 MB.
 DEFAULT_ENUMERATION_CAP = 1 << 24
+
+
+def check_cap(ctx: PrimeContext, cap: int) -> None:
+    """Raise ``EnumerationCapExceeded`` when the 2**g CM types exceed ``cap``."""
+    if 2 ** ctx.g > cap:
+        raise EnumerationCapExceeded(
+            f"enumeration too large: 2**{ctx.g} CM types exceeds cap {cap}"
+        )
 
 
 def is_cm_type(ctx: PrimeContext, members) -> bool:
@@ -38,14 +47,6 @@ class CmType:
         if not is_cm_type(self.ctx, members):
             raise ValueError(f"not a CM type mod {self.ctx.p}: {list(members)}")
 
-    @property
-    def mask(self) -> int:
-        """Bitmask with bit k set for each member k (internal fast path)."""
-        m = 0
-        for k in self.members:
-            m |= 1 << k
-        return m
-
     def to_json(self) -> dict:
         return {"p": self.ctx.p, "set": list(self.members)}
 
@@ -55,10 +56,7 @@ def enumerate_cm_types(ctx: PrimeContext, cap: int = DEFAULT_ENUMERATION_CAP) ->
 
     Raises ``EnumerationCapExceeded`` when 2**g exceeds ``cap``.
     """
-    if 2 ** ctx.g > cap:
-        raise EnumerationCapExceeded(
-            f"enumeration too large: 2**{ctx.g} CM types exceeds cap {cap}"
-        )
+    check_cap(ctx, cap)
     p = ctx.p
     sets = []
     for bits in range(1 << ctx.g):

@@ -4,9 +4,11 @@ A curve y**p = prod (x - e_i)**(a_i) with p prime and all a_i nonzero mod p
 carries the order-p automorphism y -> zeta*y.  Holomorphic differentials
 split into character eigenspaces indexed by t = 1..p-1 (the eigenvector
 shape is f(x) y**(-t) dx), and the multiplicity of each character follows
-from the valuations at the branch points.  For three branch points the
-multiplicities are 0/1 and the support of the spectrum is a CM type, which
-ties concrete curves to the lattice classification.
+from the branch exponents by the Chevalley-Weil formula; counting the
+differentials themselves (``_bruteforce_multiplicity``) is kept as its
+reference.  For three branch points the multiplicities are 0/1 and the
+support of the spectrum is a CM type, which ties concrete curves to the
+lattice classification.
 """
 
 from dataclasses import dataclass
@@ -53,7 +55,8 @@ def cover_genus(spec: CyclicCoverSpec) -> int:
 
 
 def _closed_form_multiplicity(spec: CyclicCoverSpec, t: int) -> int:
-    """sum of fractional parts <t a / p> over all branch exponents, minus 1."""
+    """Chevalley-Weil: the sum of fractional parts <t a / p> over all branch
+    exponents, minus 1."""
     p = spec.ctx.p
     return sum(t * a % p for a in spec.exponents) // p - 1
 
@@ -92,17 +95,12 @@ def _bruteforce_multiplicity(spec: CyclicCoverSpec, t: int) -> int:
 def cw_spectrum(spec: CyclicCoverSpec) -> dict[int, int]:
     """Multiplicity of every character t = 1..p-1 on holomorphic differentials.
 
-    Three-branch covers use the fractional-part closed form; covers with more
-    branch points are computed from the differentials themselves.  Characters
-    with multiplicity zero are omitted.
+    Uses the Chevalley-Weil closed form for any number of branch points.
+    Characters with multiplicity zero are omitted.
     """
-    if spec.branch_count == 3:
-        mult = _closed_form_multiplicity
-    else:
-        mult = _bruteforce_multiplicity
     spectrum = {}
     for t in range(1, spec.ctx.p):
-        m = mult(spec, t)
+        m = _closed_form_multiplicity(spec, t)
         if m:
             spectrum[t] = m
     return spectrum

@@ -14,17 +14,16 @@ quotient torus is a principally polarized abelian variety; a symplectic basis
 then yields a symmetric period matrix tau with positive-definite imaginary
 part, and multiplication by xi descends to an automorphism fixing tau.
 
-Integer computations are exact.  The Pfaffian uses rational intermediates;
-symplectic reduction and the induced lattice automorphism are computed over
-the integers only, with no rationals.  Floating point enters only in the
-polarization prescreen, whose every hit an exact Pfaffian confirms, and in
-the period matrix itself and its verification.
+Integer computations are exact and use no rationals: one integer congruence
+reduction yields both the Pfaffian and the symplectic basis, and the induced
+lattice automorphism is an integer matrix product.  Floating point enters
+only in the polarization prescreen, whose every hit an exact Pfaffian
+confirms, and in the period matrix itself and its verification.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -37,7 +36,7 @@ COMPOSED_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
-# exact integer/rational linear algebra helpers
+# exact integer linear algebra helpers
 
 
 def standard_symplectic(g: int) -> list[list[int]]:
@@ -105,9 +104,9 @@ def int_det(A) -> int:
 def pfaffian(E) -> int:
     """Exact Pfaffian of an integer skew-symmetric matrix.
 
-    Uses congruence elimination with exact rational intermediates: each step
-    splits off a 2x2 block [[0, d], [-d, 0]] and the Pfaffian is the signed
-    product of the d's.
+    The congruence reduction splits E into 2x2 blocks [[0, d], [-d, 0]] by a
+    unimodular T, and Pf(T^T E T) = det T * Pf(E) with det T = +-1, so the
+    Pfaffian is det T times the product of the d's.
     """
     n = len(E)
     if any(len(row) != n for row in E):
@@ -117,52 +116,33 @@ def pfaffian(E) -> int:
     for i in range(n):
         if E[i][i] != 0 or any(E[i][j] != -E[j][i] for j in range(i + 1, n)):
             raise ValueError("pfaffian needs a skew-symmetric matrix")
-    A = [[Fraction(x) for x in row] for row in E]
-    result = Fraction(1)
-    for t in range(0, n, 2):
-        pivot = next((i for i in range(t + 1, n) if A[t][i] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != t + 1:
-            A[pivot], A[t + 1] = A[t + 1], A[pivot]
-            for row in A:
-                row[pivot], row[t + 1] = row[t + 1], row[pivot]
-            result = -result
-        d = A[t][t + 1]
-        result *= d
-        for i in range(t + 2, n):
-            for src, coef in ((t + 1, A[t][i] / d), (t, -A[t + 1][i] / d)):
-                if coef:
-                    for j in range(n):
-                        A[i][j] -= coef * A[src][j]
-                    for j in range(n):
-                        A[j][i] -= coef * A[j][src]
-    if result.denominator != 1:
-        raise InternalCheckFailed("pfaffian elimination left a non-integer value")
-    return int(result)
+    _, pivots, det_T = _skew_reduce(E)
+    return det_T * math.prod(pivots)
 
 
-def symplectic_basis(E) -> list[list[int]]:
-    """Unimodular U with U^T E U equal to the standard symplectic form.
+def _skew_reduce(E) -> tuple[list[list[int]], list[int], int]:
+    """Integer congruence reduction of an even-dimensional skew matrix E.
 
-    E must be an integer skew-symmetric matrix with Pfaffian +-1.  Works by
-    integer congruence reduction: repeatedly move a minimal nonzero entry
-    into pivot position, clear its row pair by Euclidean steps, and split off
-    a hyperbolic plane.  Raises ValueError when an elementary divisor
-    exceeds 1 (the form is not principal).
+    Returns (T, pivots, det T) with T unimodular and T^T E T block diagonal:
+    rows 2i, 2i+1 hold the block [[0, d], [-d, 0]] with d = pivots[i] > 0.
+    Each step moves a minimal nonzero entry into pivot position, clears its
+    row pair by Euclidean steps, and splits off the plane.  A degenerate
+    form ends the pivot list with a 0.
     """
     n = len(E)
-    if n % 2:
-        raise ValueError("skew form on odd-dimensional lattice cannot be symplectic")
     G = [list(row) for row in E]
     T = _int_identity(n)
+    pivots = []
+    det_T = 1
 
     def swap(i, j):
+        nonlocal det_T
         for row in T:
             row[i], row[j] = row[j], row[i]
         G[i], G[j] = G[j], G[i]
         for row in G:
             row[i], row[j] = row[j], row[i]
+        det_T = -det_T
 
     def move(src, dst):
         while src > dst:
@@ -170,11 +150,13 @@ def symplectic_basis(E) -> list[list[int]]:
             src -= 1
 
     def negate(i):
+        nonlocal det_T
         for row in T:
             row[i] = -row[i]
         G[i] = [-x for x in G[i]]
         for row in G:
             row[i] = -row[i]
+        det_T = -det_T
 
     def addmul(i, k, coef):
         """Basis change b_i += coef * b_k."""
@@ -186,18 +168,10 @@ def symplectic_basis(E) -> list[list[int]]:
 
     for t in range(0, n, 2):
         while True:
-            best = None
-            for i in range(t, n):
-                for j in range(i + 1, n):
-                    v = abs(G[i][j])
-                    if v and (best is None or v < best[0]):
-                        best = (v, i, j)
-                        if v == 1:
-                            break
-                if best and best[0] == 1:
-                    break
+            best = min(((abs(G[i][j]), i, j) for i in range(t, n) for j in range(i + 1, n)
+                        if G[i][j]), default=None)
             if best is None:
-                raise ValueError("form is degenerate: no symplectic basis")
+                return T, pivots + [0], det_T
             _, i, j = best
             move(i, t)
             move(j, t + 1)
@@ -212,10 +186,27 @@ def symplectic_basis(E) -> list[list[int]]:
                     clean = False
             if clean:
                 break
-        if G[t][t + 1] != 1:
-            raise ValueError(
-                f"elementary divisors not all 1 (pivot {G[t][t + 1]}): form is not principal"
-            )
+        pivots.append(G[t][t + 1])
+    return T, pivots, det_T
+
+
+def symplectic_basis(E) -> list[list[int]]:
+    """Unimodular U with U^T E U equal to the standard symplectic form.
+
+    E must be an integer skew-symmetric matrix with Pfaffian +-1.  Reorders
+    the basis from the congruence reduction into the [[0, I], [-I, 0]] block
+    layout.  Raises ValueError when the form is degenerate or an elementary
+    divisor exceeds 1 (the form is not principal).
+    """
+    n = len(E)
+    if n % 2:
+        raise ValueError("skew form on odd-dimensional lattice cannot be symplectic")
+    T, pivots, _ = _skew_reduce(E)
+    for d in pivots:
+        if d == 0:
+            raise ValueError("form is degenerate: no symplectic basis")
+        if d != 1:
+            raise ValueError(f"elementary divisors not all 1 (pivot {d}): form is not principal")
 
     order = list(range(0, n, 2)) + list(range(1, n, 2))
     U = [[row[c] for c in order] for row in T]

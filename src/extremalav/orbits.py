@@ -10,7 +10,9 @@ point is a union of <k>-cosets, and negation pairs those cosets up whenever
 
 from dataclasses import dataclass
 
-from .cmtypes import DEFAULT_ENUMERATION_CAP, CmType, enumerate_cm_types
+from .cmtypes import DEFAULT_ENUMERATION_CAP, CmType, check_cap
+# Not called here: kept so that the layer tracer in bench/layers.py can wrap it.
+from .cmtypes import enumerate_cm_types  # noqa: F401
 from .fp import PrimeContext, element_order, subgroup_generated
 
 
@@ -20,17 +22,18 @@ def act(ctx: PrimeContext, k: int, cm: CmType) -> CmType:
     return CmType(ctx, tuple(k * s % ctx.p for s in cm.members))
 
 
+def _translates(ctx: PrimeContext, members) -> list[tuple[int, ...]]:
+    """The sorted translates k*members mod p, for k = 1..p-1 in that order."""
+    p = ctx.p
+    return [tuple(sorted(k * s % p for s in members)) for k in range(1, p)]
+
+
 def canonical_form(ctx: PrimeContext, cm: CmType) -> CmType:
     """The lexicographically smallest translate of ``cm``.
 
     Orbit-constant by construction, hence a canonical orbit representative.
     """
-    best = cm.members
-    for k in range(2, ctx.p):
-        candidate = tuple(sorted(k * s % ctx.p for s in cm.members))
-        if candidate < best:
-            best = candidate
-    return CmType(ctx, best)
+    return CmType(ctx, min(_translates(ctx, cm.members)))
 
 
 @dataclass(frozen=True)
@@ -56,17 +59,15 @@ def stabilizer(ctx: PrimeContext, cm: CmType) -> Stabilizer:
     order equals the subgroup order.  -1 never stabilizes a CM type (it maps
     the type onto its complement), so the order always divides g.
     """
-    mask = cm.mask
-    elements = []
-    for k in range(1, ctx.p):
-        m = 0
-        for s in cm.members:
-            m |= 1 << (k * s % ctx.p)
-        if m == mask:
-            elements.append(k)
+    return _stabilizer(ctx, _translates(ctx, cm.members))
+
+
+def _stabilizer(ctx: PrimeContext, translates) -> Stabilizer:
+    """The stabilizer read off the translates of one CM type by k = 1..p-1."""
+    elements = tuple(k for k, t in enumerate(translates, 1) if t == translates[0])
     order = len(elements)
     generator = min(k for k in elements if element_order(ctx, k) == order)
-    return Stabilizer(tuple(elements), order, generator)
+    return Stabilizer(elements, order, generator)
 
 
 @dataclass(frozen=True)
@@ -89,19 +90,26 @@ class OrbitClass:
 def orbit_classes(ctx: PrimeContext, cap: int = DEFAULT_ENUMERATION_CAP) -> list[OrbitClass]:
     """All orbits, sorted by canonical representative.
 
-    Sweeps the lexicographic enumeration and emits a class the first time an
-    orbit is met; since the sweep is lexicographic, that first member is the
-    canonical representative.
+    Sweeps the 2**g choice masks (bit k-1 set means p-k is chosen), one seen
+    flag each.  Each unseen mask starts an orbit: its translates mark the
+    orbit seen and give the canonical form (their minimum) and the stabilizer,
+    which the abelian group shares among all members of the orbit.
     """
-    seen: set[tuple[int, ...]] = set()
+    check_cap(ctx, cap)
+    p, g = ctx.p, ctx.g
+    bit = [0] * (g + 1) + [1 << (p - 1 - s) for s in range(g + 1, p)]
+    seen = bytearray(1 << g)
     classes = []
-    for cm in enumerate_cm_types(ctx, cap):
-        if cm.members in seen:
-            continue
-        orbit = {tuple(sorted(k * s % ctx.p for s in cm.members)) for k in range(1, ctx.p)}
-        seen |= orbit
-        canonical = CmType(ctx, min(orbit))
-        classes.append(OrbitClass(canonical, len(orbit), stabilizer(ctx, canonical)))
+    mask = 0
+    while mask >= 0:
+        members = [p - k if mask >> (k - 1) & 1 else k for k in range(1, g + 1)]
+        translates = _translates(ctx, members)
+        for t in translates:
+            seen[sum(map(bit.__getitem__, t))] = 1
+        stab = _stabilizer(ctx, translates)
+        classes.append(OrbitClass(CmType(ctx, min(translates)), (p - 1) // stab.order, stab))
+        mask = seen.find(0, mask + 1)
+    classes.sort(key=lambda cls: cls.canonical.members)
     return classes
 
 

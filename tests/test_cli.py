@@ -1,6 +1,7 @@
 """End-to-end command line behavior: envelopes, formats, exit codes."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -199,6 +200,10 @@ def test_cap_exceeded_exits_3(capsys):
     assert "enumeration too large" in err
     code, _, err = run(capsys, "orbits", "--p", "11", "--cap", "16")
     assert code == 3
+    assert err == "error: enumeration too large: 2**5 CM types exceeds cap 16\n"
+    # exactly at the cap is allowed
+    code, _, _ = run(capsys, "orbits", "--p", "11", "--cap", "32")
+    assert code == 0
 
 
 def test_polarization_not_found_exits_4(capsys, monkeypatch):
@@ -259,10 +264,12 @@ def test_entry_point_raises_system_exit(capsys, monkeypatch):
 
 
 def test_module_execution():
+    # The child imports the package from the same path as this test process.
     proc = subprocess.run(
         [sys.executable, "-m", "extremalav", "stabilizer", "--p", "7", "--set", "1,2,4"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["order"] == 3

@@ -47,10 +47,9 @@ def test_cm_type_rejects_invalid():
             CmType(ctx, bad)
 
 
-def test_cm_type_mask_and_json():
+def test_cm_type_json():
     ctx = PrimeContext(7)
     cm = CmType(ctx, (1, 2, 3))
-    assert cm.mask == 0b1110
     assert cm.to_json() == {"p": 7, "set": [1, 2, 3]}
 
 

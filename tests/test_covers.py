@@ -93,11 +93,13 @@ def test_spectrum_support():
 # spectra: dual routes and structural properties
 
 
-def test_bruteforce_agrees_with_closed_form_on_three_branch_covers():
-    """The differential-counting route must reproduce the fractional-part
-    formula on every three-point cover up to p = 13."""
-    for p in (5, 7, 11, 13):
-        for exps in combinations_with_replacement(range(1, p), 3):
+def test_bruteforce_agrees_with_closed_form():
+    """Counting differentials must reproduce the Chevalley-Weil formula on
+    every balanced cover with three branch points up to p = 13 and with four
+    branch points up to p = 11."""
+    cases = [(3, p) for p in (5, 7, 11, 13)] + [(4, p) for p in (5, 7, 11)]
+    for branches, p in cases:
+        for exps in combinations_with_replacement(range(1, p), branches):
             if sum(exps) % p:
                 continue
             s = spec(p, exps)

@@ -13,6 +13,7 @@ from extremalav.orbits import (
 )
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
+LARGER_PRIMES = [17, 19, 23, 29]
 
 
 def brute_fixed_count(ctx, k):
@@ -104,7 +105,7 @@ def test_orbit_class_json_round():
     }
 
 
-@pytest.mark.parametrize("p", SMALL_PRIMES)
+@pytest.mark.parametrize("p", SMALL_PRIMES + LARGER_PRIMES)
 def test_orbits_partition_everything(p):
     ctx = PrimeContext(p)
     classes = orbit_classes(ctx)
@@ -114,11 +115,25 @@ def test_orbits_partition_everything(p):
     assert len(set(reps)) == len(reps)
 
 
-@pytest.mark.parametrize("p,count", [(3, 1), (5, 1), (7, 2), (11, 4), (13, 6)])
+@pytest.mark.parametrize(
+    "p,count",
+    [(3, 1), (5, 1), (7, 2), (11, 4), (13, 6), (17, 16), (19, 30), (23, 94), (29, 586)],
+)
 def test_class_counts(p, count):
     ctx = PrimeContext(p)
     assert burnside_count(ctx) == count
     assert len(orbit_classes(ctx)) == count
+
+
+@pytest.mark.parametrize("p", [17, 19])
+def test_sweep_agrees_with_single_type_answers(p):
+    """The sweep reads each class's stabilizer and canonical form off the
+    first member it meets; both must match the answers for the canonical
+    representative itself."""
+    ctx = PrimeContext(p)
+    for cls in orbit_classes(ctx):
+        assert cls.stabilizer == stabilizer(ctx, cls.canonical)
+        assert canonical_form(ctx, cls.canonical) == cls.canonical
 
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)
@@ -128,3 +143,4 @@ def test_closed_form_fixed_counts_against_enumeration(p):
     total = sum(brute_fixed_count(ctx, k) for k in range(1, p))
     assert total % (p - 1) == 0
     assert total // (p - 1) == burnside_count(ctx)
+
