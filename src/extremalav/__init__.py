@@ -46,6 +46,7 @@ from .orbits import (
     act,
     burnside_count,
     canonical_form,
+    orbit_class,
     orbit_classes,
     stabilizer,
 )
@@ -69,7 +70,7 @@ __all__ = [
     "PrimeContext", "is_prime", "element_order", "subgroup_generated",
     "CmType", "is_cm_type", "enumerate_cm_types",
     "act", "canonical_form", "stabilizer", "Stabilizer",
-    "OrbitClass", "orbit_classes", "burnside_count",
+    "OrbitClass", "orbit_class", "orbit_classes", "burnside_count",
     "SpectrumProfile", "StratumReport", "SumVerdict",
     "stratum_dimension", "extremal_profile", "is_isolated", "is_simple",
     "sum_criterion", "stabilizer_element_profile", "containing_strata",

@@ -75,10 +75,7 @@ def run_classify(p: int, with_lattice: bool = False, bound: int = 5,
     classes = _checked_orbit_classes(ctx, cap)
     rows = []
     for cls in classes:
-        row = cls.to_json()
-        verdict = classification_row(ctx, cls.canonical)
-        for key in ("isolated", "simple", "sum_mod_p", "containing_strata"):
-            row[key] = verdict[key]
+        row = classification_row(ctx, cls)
         if with_lattice:
             row["lattice"] = _lattice_witness(ctx, cls.canonical, bound)
         rows.append(row)
@@ -159,7 +156,12 @@ def _rows_and_headers(doc: dict) -> tuple[list[str], list[list[str]]]:
 
 def render(doc: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(doc, indent=2) + "\n"
+        sink = io.StringIO()
+        # json.dump writes the encoder's chunks as they come; json.dumps
+        # would first hold every chunk in one list.
+        json.dump(doc, sink, indent=2)
+        sink.write("\n")
+        return sink.getvalue()
     headers, rows = _rows_and_headers(doc)
     if fmt == "csv":
         sink = io.StringIO()

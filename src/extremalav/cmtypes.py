@@ -12,7 +12,9 @@ from .errors import EnumerationCapExceeded
 from .fp import PrimeContext
 
 #: Refuse to sweep more than this many CM types.  The orbit sweep holds one
-#: byte per CM type, so the default bounds it at 16 MB.
+#: chunk of choice masks plus about 2**g/(p-1) classes, and the classify
+#: output grows with the classes: at the default (p <= 47) a classify run
+#: peaks near 350 MB.
 DEFAULT_ENUMERATION_CAP = 1 << 24
 
 
@@ -46,6 +48,15 @@ class CmType:
         object.__setattr__(self, "members", members)
         if not is_cm_type(self.ctx, members):
             raise ValueError(f"not a CM type mod {self.ctx.p}: {list(members)}")
+
+    @classmethod
+    def _unchecked(cls, ctx: PrimeContext, members: tuple[int, ...]) -> "CmType":
+        """A CM type from ascending members already known to form one, such
+        as the orbit sweep decodes, without the checks of the constructor."""
+        cm = object.__new__(cls)
+        object.__setattr__(cm, "ctx", ctx)
+        object.__setattr__(cm, "members", members)
+        return cm
 
     def to_json(self) -> dict:
         return {"p": self.ctx.p, "set": list(self.members)}

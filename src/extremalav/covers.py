@@ -4,18 +4,16 @@ A curve y**p = prod (x - e_i)**(a_i) with p prime and all a_i nonzero mod p
 carries the order-p automorphism y -> zeta*y.  Holomorphic differentials
 split into character eigenspaces indexed by t = 1..p-1 (the eigenvector
 shape is f(x) y**(-t) dx), and the multiplicity of each character follows
-from the branch exponents by the Chevalley-Weil formula; counting the
-differentials themselves (``_bruteforce_multiplicity``) is kept as its
-reference.  For three branch points the multiplicities are 0/1 and the
-support of the spectrum is a CM type, which ties concrete curves to the
-lattice classification.
+from the branch exponents by the Chevalley-Weil formula.  For three branch
+points the multiplicities are 0/1 and the support of the spectrum is a CM
+type, which ties concrete curves to the lattice classification.
 """
 
 from dataclasses import dataclass
 
 from .cmtypes import CmType, is_cm_type
 from .fp import PrimeContext
-from .lattice import int_rank_det
+from .orbits import orbit_class
 from .strata import classification_row
 
 
@@ -61,37 +59,6 @@ def _closed_form_multiplicity(spec: CyclicCoverSpec, t: int) -> int:
     return sum(t * a % p for a in spec.exponents) // p - 1
 
 
-def _bruteforce_multiplicity(spec: CyclicCoverSpec, t: int) -> int:
-    """Dimension of the character-t eigenspace by explicit differentials.
-
-    Places the last branch point at infinity and the others at 0, 1, ...,
-    enumerates the monomial differentials prod (x - e_i)**(r_i) y**(-t) dx
-    with non-negative valuation everywhere, and returns the rank of their
-    span (the monomials become dependent once the eigenspace has dimension
-    two or more, so counting them would overshoot).
-    """
-    p = spec.ctx.p
-    finite = spec.exponents[:-1]
-    lower = [t * a // p for a in finite]
-    degree_cap = t * sum(finite) // p - 1
-    budget = degree_cap - sum(lower)
-    if budget < 0:
-        return 0
-
-    tuples = [[]]
-    for _ in finite:
-        tuples = [prefix + [extra] for prefix in tuples
-                  for extra in range(budget - sum(prefix) + 1)]
-    vectors = []
-    for extras in tuples:
-        poly = [1]
-        for e, (low, extra) in enumerate(zip(lower, extras)):
-            for _ in range(low + extra):
-                poly = [c1 - e * c0 for c1, c0 in zip([0] + poly, poly + [0])]
-        vectors.append(poly + [0] * (degree_cap + 1 - len(poly)))
-    return int_rank_det(vectors)[0]
-
-
 def cw_spectrum(spec: CyclicCoverSpec) -> dict[int, int]:
     """Multiplicity of every character t = 1..p-1 on holomorphic differentials.
 
@@ -124,4 +91,4 @@ def spectrum_class(ctx: PrimeContext, spectrum) -> dict:
         support = tuple(sorted(spectrum))
     if not is_cm_type(ctx, support):
         raise ValueError(f"support is not a CM type mod {ctx.p}: {list(support)}")
-    return classification_row(ctx, CmType(ctx, support))
+    return classification_row(ctx, orbit_class(ctx, CmType(ctx, support)))

@@ -10,6 +10,10 @@ multiplicities (n_0, ..., n_{q-1}) of the induced analytic action:
     dim = n_0 (n_0 + 1) / 2  +  sum_{i=1}^{(q-1)/2} n_i n_{q-i}
 
 with n_i + n_{q-i} constant (= r) for i != 0 and g = n_0 + r (q-1)/2.
+
+``classification_row`` gives the verdict of an orbit class from the
+stabilizer the class already carries, so a classify run translates no CM
+type beyond the orbit sweep.
 """
 
 import enum
@@ -17,7 +21,9 @@ from dataclasses import dataclass
 
 from .cmtypes import CmType
 from .fp import PrimeContext, element_order, is_prime
-from .orbits import Stabilizer, act, canonical_form, stabilizer
+from .orbits import OrbitClass, Stabilizer, act, stabilizer
+# Not called here: kept so that the layer tracer in bench/layers.py can wrap it.
+from .orbits import canonical_form  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -163,15 +169,15 @@ def _strata(ctx: PrimeContext, cm: CmType, stab: Stabilizer) -> list[StratumRepo
     return reports
 
 
-def classification_row(ctx: PrimeContext, cm: CmType) -> dict:
-    """Classification verdict for the orbit of ``cm``, as a JSON-ready row."""
-    canonical = canonical_form(ctx, cm)
-    stab = stabilizer(ctx, canonical)
-    return {
-        "canonical": list(canonical.members),
-        "isolated": stab.order == 1,
-        "simple": stab.order == 1,
-        "sum_mod_p": sum(canonical.members) % ctx.p,
-        "stabilizer_order": stab.order,
-        "containing_strata": [r.to_json() for r in _strata(ctx, canonical, stab)],
-    }
+def classification_row(ctx: PrimeContext, cls: OrbitClass) -> dict:
+    """The classify row of an orbit class: its JSON, then the verdict.
+
+    The verdict comes from the class's own stabilizer; a trivial one has no
+    containing strata, and ``_strata`` returns at once for it.
+    """
+    canonical, stab = cls.canonical, cls.stabilizer
+    row = cls.to_json()
+    row["isolated"] = row["simple"] = stab.order == 1
+    row["sum_mod_p"] = sum(canonical.members) % ctx.p
+    row["containing_strata"] = [r.to_json() for r in _strata(ctx, canonical, stab)]
+    return row

@@ -1,10 +1,12 @@
 """End-to-end command line behavior: envelopes, formats, exit codes."""
 
+import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -160,6 +162,21 @@ def test_table_format(capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_json_render_equals_json_dumps(p):
+    doc = cli.run_classify(p)
+    assert cli.render(doc, "json") == json.dumps(doc, indent=2) + "\n"
+
+
+def test_classify_p37_digest(capsys):
+    """The classify output at p = 37, pinned byte for byte (3235761 bytes)."""
+    code, out, _ = run(capsys, "classify", "--p", "37")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6d55c32fa8ff025153a70039d31e755656a3472d6966417c36162825aecf33b1"
+    )
+
+
 def test_single_document_formats_agree(capsys):
     _, as_json, _ = run(capsys, "dim", "--q", "3", "--mults", "2,2,2")
     _, as_csv, _ = run(capsys, "dim", "--q", "3", "--mults", "2,2,2", "--format", "csv")
@@ -204,6 +221,18 @@ def test_cap_exceeded_exits_3(capsys):
     # exactly at the cap is allowed
     code, _, _ = run(capsys, "orbits", "--p", "11", "--cap", "32")
     assert code == 0
+
+
+def test_word_width_exits_3_at_once(capsys):
+    """Beyond p = 65 the orbit sweep's 64-bit word is the limit, whatever the
+    cap; the refusal comes before any allocation."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "orbits", "--p", "67", "--cap", "10000000000")
+    assert time.perf_counter() - start < 5
+    assert code == 3
+    assert out == ""
+    assert err == ("error: enumeration too large: p = 67 needs 66 bits, "
+                   "over the 64-bit indicator word of the orbit sweep\n")
 
 
 def test_polarization_not_found_exits_4(capsys, monkeypatch):

@@ -1,13 +1,20 @@
 """Multiplicative orbits, stabilizers, and the closed-form class count."""
 
+import random
+from collections import Counter
+
+import numpy as np
 import pytest
 
+from extremalav import orbits
 from extremalav.cmtypes import CmType, enumerate_cm_types
 from extremalav.fp import PrimeContext, element_order, subgroup_generated
 from extremalav.orbits import (
+    OrbitClass,
     act,
     burnside_count,
     canonical_form,
+    orbit_class,
     orbit_classes,
     stabilizer,
 )
@@ -117,7 +124,8 @@ def test_orbits_partition_everything(p):
 
 @pytest.mark.parametrize(
     "p,count",
-    [(3, 1), (5, 1), (7, 2), (11, 4), (13, 6), (17, 16), (19, 30), (23, 94), (29, 586)],
+    [(3, 1), (5, 1), (7, 2), (11, 4), (13, 6), (17, 16), (19, 30), (23, 94), (29, 586),
+     (31, 1096), (37, 7286), (41, 26216)],
 )
 def test_class_counts(p, count):
     ctx = PrimeContext(p)
@@ -125,15 +133,49 @@ def test_class_counts(p, count):
     assert len(orbit_classes(ctx)) == count
 
 
-@pytest.mark.parametrize("p", [17, 19])
+@pytest.mark.parametrize("p", [17, 19, 37])
 def test_sweep_agrees_with_single_type_answers(p):
-    """The sweep reads each class's stabilizer and canonical form off the
-    first member it meets; both must match the answers for the canonical
-    representative itself."""
+    """Each class the sweep builds, stabilizer elements included, equals the
+    class that the single-type answer gives for its canonical form."""
     ctx = PrimeContext(p)
     for cls in orbit_classes(ctx):
-        assert cls.stabilizer == stabilizer(ctx, cls.canonical)
-        assert canonical_form(ctx, cls.canonical) == cls.canonical
+        assert orbit_class(ctx, cls.canonical) == cls
+
+
+@pytest.mark.parametrize("p", SMALL_PRIMES + LARGER_PRIMES[:-1])
+def test_sweep_equals_bruteforce_reference(p):
+    """Every class, in order, as grouping all 2**g CM types by their
+    single-type canonical form gives it."""
+    ctx = PrimeContext(p)
+    sizes = Counter(canonical_form(ctx, cm) for cm in enumerate_cm_types(ctx))
+    expected = [OrbitClass(rep, size, stabilizer(ctx, rep))
+                for rep, size in sorted(sizes.items(), key=lambda item: item[0].members)]
+    assert orbit_classes(ctx) == expected
+
+
+@pytest.mark.parametrize("p", [43, 47, 53, 59, 61])
+def test_word_translation_matches_act(p):
+    """The sweep's byte tables translate indicator words as ``act`` does, up
+    to the widest words (p = 61 fills all 8 bytes), beyond the primes a
+    full sweep can be tested at."""
+    ctx = PrimeContext(p)
+    rng = random.Random(p)
+    types = [CmType(ctx, [k if rng.random() < 0.5 else p - k for k in range(1, ctx.g + 1)])
+             for _ in range(50)]
+    words = np.array([sum(1 << (p - 1 - r) for r in cm.members) for cm in types],
+                     dtype=np.uint64)
+    assert orbits._members(ctx, words) == [cm.members for cm in types]
+    for k in (2, 3, p - 2):
+        moved = orbits._members(ctx, orbits._permute(orbits._translation(p, k), words))
+        assert moved == [act(ctx, k, cm).members for cm in types]
+
+
+def test_orbit_class_of_a_translate():
+    ctx = PrimeContext(11)
+    cls = orbit_class(ctx, CmType(ctx, (2, 6, 7, 8, 10)))  # 2 * (1, 3, 4, 5, 9)
+    assert cls.canonical.members == (1, 3, 4, 5, 9)
+    assert (cls.orbit_size, cls.stabilizer.elements, cls.stabilizer.generator) == (
+        2, (1, 3, 4, 5, 9), 3)
 
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)

@@ -4,7 +4,7 @@ import pytest
 
 from extremalav.cmtypes import CmType, enumerate_cm_types
 from extremalav.fp import PrimeContext
-from extremalav.orbits import orbit_classes, stabilizer
+from extremalav.orbits import orbit_class, orbit_classes, stabilizer
 from extremalav.strata import (
     SpectrumProfile,
     SumVerdict,
@@ -226,8 +226,12 @@ def test_containing_strata_examples():
 
 def test_classification_row_shape():
     ctx = PrimeContext(11)
-    row = classification_row(ctx, CmType(ctx, (2, 4, 6, 8, 10)))
+    row = classification_row(ctx, orbit_class(ctx, CmType(ctx, (2, 4, 6, 8, 10))))
+    assert list(row) == ["canonical", "orbit_size", "stabilizer", "stabilizer_order",
+                         "isolated", "simple", "sum_mod_p", "containing_strata"]
     assert row["canonical"] == [1, 2, 3, 4, 5]
+    assert row["orbit_size"] == 10
+    assert row["stabilizer"] == [1]
     assert row["isolated"] is True
     assert row["simple"] is True
     assert row["sum_mod_p"] == 4
