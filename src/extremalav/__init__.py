@@ -22,12 +22,10 @@ from .errors import (
 from .fp import PrimeContext, element_order, is_prime, subgroup_generated
 from .lattice import (
     AutomorphismReport,
-    CmEmbedding,
     PeriodData,
     PolarizationForm,
     automorphism_check,
     build_polarization,
-    embed,
     find_polarization,
     gram_matrix,
     int_det,
@@ -75,8 +73,8 @@ __all__ = [
     "stratum_dimension", "extremal_profile", "is_isolated", "is_simple",
     "sum_criterion", "stabilizer_element_profile", "containing_strata",
     "classification_row",
-    "CmEmbedding", "PolarizationForm", "PeriodData", "AutomorphismReport",
-    "embed", "riemann_form_value", "gram_matrix", "build_polarization",
+    "PolarizationForm", "PeriodData", "AutomorphismReport",
+    "riemann_form_value", "gram_matrix", "build_polarization",
     "find_polarization", "pfaffian", "symplectic_basis", "standard_symplectic",
     "int_det", "multiplication_matrix", "period_matrix", "automorphism_check",
     "period_report", "reduce_to_fundamental_domain",

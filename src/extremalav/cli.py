@@ -21,7 +21,7 @@ from .errors import (
     RiemannRelationsViolated,
 )
 from .fp import PrimeContext
-from .lattice import COMPOSED_TOL, embed, find_polarization, period_matrix, period_report
+from .lattice import find_polarization, period_matrix, period_report
 from .orbits import burnside_count, orbit_classes, stabilizer
 from .strata import SpectrumProfile, classification_row, stratum_dimension
 
@@ -43,17 +43,11 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def _lattice_witness(ctx: PrimeContext, cm: CmType, bound: int) -> dict:
-    polarization = find_polarization(ctx, cm, bound)
-    data = period_matrix(embed(ctx, cm), polarization)
-    doc, report = period_report(data)
+    doc, report = period_report(period_matrix(find_polarization(ctx, cm, bound)))
     if not report.all_ok:
-        measured = {"fixes_tau": report.fixes_tau_error, "spectrum": report.spectrum_error}
-        failed = [
-            f"{name} error {measured[name]:.2g} >= {COMPOSED_TOL:g}" if name in measured else name
-            for name, ok in doc["checks"].items() if not ok
-        ]
         raise InternalCheckFailed(
-            f"automorphism checks failed for set {list(cm.members)}: {', '.join(failed)}"
+            f"automorphism checks failed for set {list(cm.members)}: "
+            f"{', '.join(report.failures())}"
         )
     return doc
 
@@ -124,12 +118,9 @@ def run_spectrum(p: int, exponents: tuple[int, ...]) -> dict:
     spectrum = cw_spectrum(spec)
     doc = {"p": p, "exponents": list(spec.exponents), "genus": cover_genus(spec),
            "support": list(spectrum_support(spectrum))}
-    if all(m == 1 for m in spectrum.values()):
-        try:
-            row = spectrum_class(ctx, spectrum)
-        except ValueError:
-            row = None
-    else:
+    try:
+        row = spectrum_class(ctx, spectrum)
+    except ValueError:
         row = None
     doc["class_canonical"] = row["canonical"] if row else None
     doc["isolated"] = row["isolated"] if row else None

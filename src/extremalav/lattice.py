@@ -12,7 +12,10 @@ the circulant-like table E[a][b] = c[(b-a) mod p].  Whenever the form is
 unimodular (Pfaffian +-1) and every Im phi_j(alpha), j in C, is positive, the
 quotient torus is a principally polarized abelian variety; a symplectic basis
 then yields a symmetric period matrix tau with positive-definite imaginary
-part, and multiplication by xi descends to an automorphism fixing tau.
+part, and multiplication by xi descends to an automorphism fixing tau.  The
+polarization is the whole input of the period pipeline: the sign vector of
+Im phi_j(alpha) alone decides which block convention gives tau, or that none
+does.
 
 Integer computations are exact and use no rationals: one integer congruence
 reduction yields both the Pfaffian and the symplectic basis, and the induced
@@ -219,23 +222,6 @@ def symplectic_basis(E) -> list[list[int]]:
 # the CM lattice and its alternating forms
 
 
-@dataclass(frozen=True, eq=False)
-class CmEmbedding:
-    """Images of the power basis 1, xi, ..., xi**(p-2) under the g embeddings
-    selected by a CM type; column k holds the image of xi**k."""
-
-    ctx: PrimeContext
-    cm_type: CmType
-    basis_images: np.ndarray
-
-
-def embed(ctx: PrimeContext, cm: CmType) -> CmEmbedding:
-    members = np.array(cm.members)
-    powers = np.arange(ctx.p - 1)
-    images = np.exp(2j * np.pi * np.outer(members, powers) / ctx.p)
-    return CmEmbedding(ctx, cm, images)
-
-
 def _coeff(ctx: PrimeContext, c, m: int) -> int:
     """c extended to all residues: c_0 = 0 and c_{p-k} = -c_k."""
     m %= ctx.p
@@ -267,13 +253,9 @@ def gram_matrix(ctx: PrimeContext, c) -> list[list[int]]:
     return [[_coeff(ctx, c, b - a) for b in range(n)] for a in range(n)]
 
 
-def _alpha_imag(ctx: PrimeContext, cm: CmType, c) -> tuple[float, ...]:
-    """Im phi_j(alpha) for j in the CM type, in member order."""
-    p = ctx.p
-    return tuple(
-        2.0 / p * sum(c[k - 1] * math.sin(2 * math.pi * j * k / p) for k in range(1, ctx.g + 1))
-        for j in cm.members
-    )
+def _sines(ctx: PrimeContext, cm: CmType) -> np.ndarray:
+    """sin(2 pi j k / p), one row per member j of the CM type, k = 1..g."""
+    return np.sin(2 * np.pi * np.outer(cm.members, np.arange(1, ctx.g + 1)) / ctx.p)
 
 
 @dataclass(frozen=True)
@@ -298,8 +280,9 @@ def build_polarization(ctx: PrimeContext, cm: CmType, c) -> PolarizationForm:
     if len(c) != ctx.g:
         raise ValueError(f"need {ctx.g} coefficients, got {len(c)}")
     gram = gram_matrix(ctx, c)
+    alpha_imag = 2.0 / ctx.p * (_sines(ctx, cm) @ np.array(c, dtype=np.float64))
     return PolarizationForm(
-        ctx, cm, c, tuple(tuple(row) for row in gram), _alpha_imag(ctx, cm, c), pfaffian(gram)
+        ctx, cm, c, tuple(tuple(row) for row in gram), tuple(alpha_imag.tolist()), pfaffian(gram)
     )
 
 
@@ -318,9 +301,7 @@ def find_polarization(ctx: PrimeContext, cm: CmType, bound: int = 5) -> Polariza
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     g, p = ctx.g, ctx.p
-    sin_matrix = np.sin(
-        2 * np.pi * np.outer(cm.members, np.arange(1, g + 1)) / p
-    )  # rows: members
+    sines = _sines(ctx, cm)
     unit_product = math.sqrt(p) / 2**g  # prod_j s_j when |Pf| = 1
     candidates = itertools.product(range(-bound, bound + 1), repeat=g)
     chunk_size = 1 << 13
@@ -328,7 +309,7 @@ def find_polarization(ctx: PrimeContext, cm: CmType, bound: int = 5) -> Polariza
         chunk = list(itertools.islice(candidates, chunk_size))
         if not chunk:
             break
-        signs = np.asarray(chunk, dtype=np.float64) @ sin_matrix.T
+        signs = np.asarray(chunk, dtype=np.float64) @ sines.T
         positive = np.flatnonzero((signs > 0.0).all(axis=1))
         products = signs[positive].prod(axis=1)
         for idx in positive[np.abs(products - unit_product) < unit_product / 2]:
@@ -360,8 +341,6 @@ def multiplication_matrix(ctx: PrimeContext) -> list[list[int]]:
 class PeriodData:
     """A period matrix together with the exact data that produced it."""
 
-    ctx: PrimeContext
-    cm_type: CmType
     polarization: PolarizationForm
     U: tuple[tuple[int, ...], ...]
     M: tuple[tuple[int, ...], ...]
@@ -370,42 +349,44 @@ class PeriodData:
     block_swapped: bool
 
 
-def _symmetric_positive(tau: np.ndarray) -> bool:
-    if np.max(np.abs(tau - tau.T)) >= ALGEBRAIC_TOL:
-        return False
-    imag = (tau.imag + tau.imag.T) / 2
-    return np.linalg.eigvalsh(imag).min() > ALGEBRAIC_TOL
+def period_matrix(polarization: PolarizationForm) -> PeriodData:
+    """Period matrix of the CM lattice in a symplectic basis for the form.
 
-
-def period_matrix(embedding: CmEmbedding, polarization: PolarizationForm) -> PeriodData:
-    """Period matrix of the embedded lattice in a symplectic basis for the form.
-
-    The two possible block conventions tau = P2^-1 P1 and tau = P1^-1 P2 are
-    tried in that order and the first symmetric one with positive-definite
-    imaginary part wins (recorded in ``block_swapped``).  If neither works
-    the form does not polarize this complex structure.
+    With W = (P1 | P2) the images of the symplectic basis under the embeddings
+    of the CM type, E(x, y) = -2 sum_j Im phi_j(alpha) Im(phi_j(x) conj phi_j(y))
+    fixes the block convention: tau = P1^-1 P2 (``block_swapped``) when every
+    Im phi_j(alpha) is positive, tau = P2^-1 P1 when every one is negative,
+    and with mixed signs the form polarizes no complex structure on this CM
+    type.  Raises ``RiemannRelationsViolated`` naming the quantity that failed.
     """
-    ctx = embedding.ctx
+    ctx, cm = polarization.ctx, polarization.cm_type
     E = [list(row) for row in polarization.gram]
     U = symplectic_basis(E)
-    W = embedding.basis_images @ np.array(U, dtype=np.float64)
-    g = ctx.g
-    tau = None
-    for swapped, (left, right) in (
-        (False, (W[:, g:], W[:, :g])),
-        (True, (W[:, :g], W[:, g:])),
-    ):
-        try:
-            candidate = np.linalg.solve(left, right)
-        except np.linalg.LinAlgError:
-            continue
-        if _symmetric_positive(candidate):
-            tau, block_swapped = candidate, swapped
-            break
-    if tau is None:
+    violated = (f"Riemann relations violated for c = {list(polarization.c)} "
+                f"on set {list(cm.members)}")
+    signs = ["+" if v > 0 else "-" for v in polarization.alpha_imag]
+    if len(set(signs)) > 1:
         raise RiemannRelationsViolated(
-            f"Riemann relations violated for c = {list(polarization.c)} "
-            f"on set {list(embedding.cm_type.members)}"
+            f"{violated}: mixed signs of Im phi(alpha) ({', '.join(signs)})"
+        )
+    block_swapped = signs[0] == "+"
+    images = np.exp(2j * np.pi * np.outer(np.array(cm.members), np.arange(ctx.p - 1)) / ctx.p)
+    W = images @ np.array(U, dtype=np.float64)
+    g = ctx.g
+    P1, P2 = W[:, :g], W[:, g:]
+    try:
+        tau = np.linalg.solve(P1, P2) if block_swapped else np.linalg.solve(P2, P1)
+    except np.linalg.LinAlgError:
+        raise RiemannRelationsViolated(f"{violated}: singular period block") from None
+    asymmetry = np.max(np.abs(tau - tau.T))
+    if asymmetry >= ALGEBRAIC_TOL:
+        raise RiemannRelationsViolated(
+            f"{violated}: asymmetry {asymmetry:.2g} >= {ALGEBRAIC_TOL:g}"
+        )
+    smallest = np.linalg.eigvalsh((tau.imag + tau.imag.T) / 2).min()
+    if not smallest > ALGEBRAIC_TOL:
+        raise RiemannRelationsViolated(
+            f"{violated}: min eigenvalue of Im tau {smallest:.2g} <= {ALGEBRAIC_TOL:g}"
         )
     # U^T E U = J and J^-1 = -J give U^-1 = -J U^T E, so the induced
     # automorphism R = U^-1 M U is an integer product.
@@ -414,9 +395,7 @@ def period_matrix(embedding: CmEmbedding, polarization: PolarizationForm) -> Per
     U_inv = _int_matmul(neg_J, _int_matmul(_int_transpose(U), E))
     R = _int_matmul(_int_matmul(U_inv, M), U)
     freeze = lambda A: tuple(tuple(row) for row in A)
-    return PeriodData(
-        ctx, embedding.cm_type, polarization, freeze(U), freeze(M), freeze(R), tau, block_swapped
-    )
+    return PeriodData(polarization, freeze(U), freeze(M), freeze(R), tau, block_swapped)
 
 
 @dataclass(frozen=True)
@@ -433,8 +412,7 @@ class AutomorphismReport:
 
     @property
     def all_ok(self) -> bool:
-        return (self.gram_preserved and self.order_p and self.symplectic
-                and self.fixes_tau and self.spectrum)
+        return all(self.to_json().values())
 
     def to_json(self) -> dict:
         return {
@@ -445,14 +423,23 @@ class AutomorphismReport:
             "spectrum": self.spectrum,
         }
 
+    def failures(self) -> list[str]:
+        """The failed checks in ``to_json`` order, each with its measured
+        error where it has one, e.g. ``fixes_tau error 3.2e-07 >= 1e-08``."""
+        measured = {"fixes_tau": self.fixes_tau_error, "spectrum": self.spectrum_error}
+        return [
+            f"{name} error {measured[name]:.2g} >= {COMPOSED_TOL:g}" if name in measured else name
+            for name, ok in self.to_json().items() if not ok
+        ]
+
 
 def automorphism_check(data: PeriodData) -> AutomorphismReport:
     """Verify, exactly where possible, that multiplication by xi survives on
     the period point: it preserves the form, has order p, acts symplectically
     on the chosen basis, fixes tau, and has the prescribed eigenvalues."""
-    ctx = data.ctx
-    p, g = ctx.p, ctx.g
-    E = [list(row) for row in data.polarization.gram]
+    pol = data.polarization
+    p, g = pol.ctx.p, pol.ctx.g
+    E = [list(row) for row in pol.gram]
     M = [list(row) for row in data.M]
     R = [list(row) for row in data.R]
     J = standard_symplectic(g)
@@ -486,7 +473,7 @@ def automorphism_check(data: PeriodData) -> AutomorphismReport:
     analytic = tau @ R_eff_arr[:g, g:] + R_eff_arr[g:, g:]
     eigs = np.linalg.eigvals(analytic)
     eigs = eigs[np.argsort(np.mod(np.angle(eigs), 2 * np.pi))]
-    expected = np.exp(2j * np.pi * np.array(data.cm_type.members) / p)
+    expected = np.exp(2j * np.pi * np.array(pol.cm_type.members) / p)
     spectrum_error = float(np.max(np.abs(eigs - expected)))
     spectrum = spectrum_error < COMPOSED_TOL
 
@@ -496,20 +483,17 @@ def automorphism_check(data: PeriodData) -> AutomorphismReport:
     )
 
 
-def _sig17(x: float) -> float:
-    return float(f"{x:.17g}")
-
-
 def period_report(data: PeriodData) -> tuple[dict, AutomorphismReport]:
     """JSON-ready description of a period point plus its check report."""
     report = automorphism_check(data)
+    pol = data.polarization
     doc = {
-        "p": data.ctx.p,
-        "set": list(data.cm_type.members),
-        "c": list(data.polarization.c),
-        "pfaffian": data.polarization.pfaffian,
-        "tau_re": [[_sig17(v) for v in row] for row in data.tau.real.tolist()],
-        "tau_im": [[_sig17(v) for v in row] for row in data.tau.imag.tolist()],
+        "p": pol.ctx.p,
+        "set": list(pol.cm_type.members),
+        "c": list(pol.c),
+        "pfaffian": pol.pfaffian,
+        "tau_re": data.tau.real.tolist(),
+        "tau_im": data.tau.imag.tolist(),
         "block_swapped": data.block_swapped,
         "checks": report.to_json(),
     }

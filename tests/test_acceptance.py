@@ -23,7 +23,6 @@ from extremalav.covers import (
 from extremalav.fp import PrimeContext, element_order, is_prime
 from extremalav.lattice import (
     automorphism_check,
-    embed,
     find_polarization,
     period_matrix,
     reduce_to_fundamental_domain,
@@ -146,7 +145,7 @@ def test_07_lattice_realization_p11():
         if pol.pfaffian not in (1, -1):
             failures.append((members, "pfaffian"))
             continue
-        data = period_matrix(embed(ctx, cm), pol)
+        data = period_matrix(pol)
         tau = data.tau
         report = automorphism_check(data)
         if np.max(np.abs(tau - tau.T)) >= 1e-9:
@@ -168,7 +167,7 @@ def test_07_lattice_realization_p11():
 def test_08_elliptic_point_is_hexagonal():
     ctx = PrimeContext(3)
     cm = CmType(ctx, (1,))
-    data = period_matrix(embed(ctx, cm), find_polarization(ctx, cm, bound=1))
+    data = period_matrix(find_polarization(ctx, cm, bound=1))
     reduced = reduce_to_fundamental_domain(complex(data.tau[0, 0]))
     corners = [complex(0.5, 3**0.5 / 2), complex(-0.5, 3**0.5 / 2)]
     dist = min(abs(reduced - w) for w in corners)

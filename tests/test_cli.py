@@ -177,6 +177,16 @@ def test_classify_p37_digest(capsys):
     )
 
 
+def test_classify_p13_with_lattice_digest(capsys):
+    """The lattice witnesses at p = 13, tau included, pinned byte for byte
+    (21459 bytes): a deliberate change of tau must be a recorded edit here."""
+    code, out, _ = run(capsys, "classify", "--p", "13", "--with-lattice")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "42e3476bd3415626c203ab4bfb424e6e7bdbc84b61fef92734ef1d5cecb34b87"
+    )
+
+
 def test_single_document_formats_agree(capsys):
     _, as_json, _ = run(capsys, "dim", "--q", "3", "--mults", "2,2,2")
     _, as_csv, _ = run(capsys, "dim", "--q", "3", "--mults", "2,2,2", "--format", "csv")
@@ -272,6 +282,17 @@ def test_failed_check_names_measured_error(capsys):
     assert code == 5
     assert out == ""
     assert re.search(r"fixes_tau error \d\.?\d*e-\d+ >= 1e-08", err)
+
+
+def test_riemann_violation_names_measured_eigenvalue(capsys):
+    """This set fails only through the conditioning of its symplectic basis;
+    ROADMAP item 3 (lattice reduction) retires it, and then this test."""
+    code, out, err = run(capsys, "period", "--p", "13", "--set", "1,3,5,7,9,11")
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: Riemann relations violated for c = [-5, 2, 2, -3, 2, 5] "
+                          "on set [1, 3, 5, 7, 9, 11]: ")
+    assert re.search(r": min eigenvalue of Im tau -?\d\.?\d*e-\d+ <= 1e-09\n$", err)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,46 @@
+"""The names other code relies on: the package exports and the benchmark's
+traced entry points."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import extremalav
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in extremalav.__all__ if not hasattr(extremalav, name)]
+    assert missing == []
+
+
+def test_traced_bench_child_runs(tmp_path):
+    """One tiny traced benchmark job: the tracer wraps functions by name and
+    binds ``find_polarization``'s ``ctx`` and ``bound``, so renaming any of
+    them fails here rather than in a benchmark run."""
+    job = {
+        "calls": [
+            ["classify", 7, None],
+            ["classify_lattice", 7, None],
+            ["period", 7, [1, 2, 3]],
+            ["stabilizer", 7, [1, 2, 4]],
+            ["spectrum", 7, [1, 2, 4]],
+        ],
+        "trace": 1,
+        "spans_path": str(tmp_path / "spans.json"),
+    }
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "child.py")],
+        input=json.dumps(job),
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert [call["code"] for call in result["calls"]] == [0] * len(job["calls"])
+    assert (tmp_path / "spans.json").exists()

@@ -24,7 +24,6 @@ from extremalav.lattice import (
     COMPOSED_TOL,
     automorphism_check,
     build_polarization,
-    embed,
     find_polarization,
     gram_matrix,
     int_det,
@@ -419,7 +418,7 @@ def pipeline(p, members, c=None, bound=5):
     ctx = PrimeContext(p)
     cm = CmType(ctx, members)
     pol = build_polarization(ctx, cm, c) if c else find_polarization(ctx, cm, bound)
-    return period_matrix(embed(ctx, cm), pol)
+    return period_matrix(pol)
 
 
 def test_period_matrix_p3():
@@ -463,6 +462,64 @@ def test_degenerate_vector_raises():
     """Unimodular but with mixed positivity: no convention makes tau work."""
     with pytest.raises(RiemannRelationsViolated, match="Riemann relations violated"):
         pipeline(7, (1, 2, 3), (1, 1, 1))
+
+
+def test_mixed_signs_name_the_sign_vector():
+    with pytest.raises(RiemannRelationsViolated) as exc:
+        pipeline(7, (1, 2, 3), (1, 1, 1))
+    assert str(exc.value) == (
+        "Riemann relations violated for c = [1, 1, 1] on set [1, 2, 3]: "
+        "mixed signs of Im phi(alpha) (+, -, +)"
+    )
+
+
+def sign_rule_cases(p, count=50):
+    """``count`` random unimodular c in [-3, 3]**g, each with the CM type on
+    which every Im phi_j(alpha) is positive, its complement (every one
+    negative) and a random type in between (mixed signs).
+
+    Unimodularity is screened with |Pf| = prod_j 2 |s_j| / sqrt(p) over
+    j = 1..g, s_j = sum_k c_k sin(2 pi j k / p); the exact Pfaffian confirms.
+    """
+    g = (p - 1) // 2
+    gen = np.random.default_rng(p)
+    ks = range(1, g + 1)
+    C = gen.integers(-3, 4, size=(1000 * count, g))
+    s = C @ np.sin(2 * np.pi * np.outer(ks, ks) / p)
+    unit = np.abs(np.prod(2 * np.abs(s), axis=1) / math.sqrt(p) - 1) < 0.5
+    cases = []
+    for c, signs in list(zip(C[unit].tolist(), s[unit]))[:count]:
+        positive = [k if x > 0 else p - k for k, x in zip(ks, signs)]
+        flip = int(gen.integers(1, 2**g - 1))
+        mixed = [p - k if flip >> i & 1 else k for i, k in enumerate(positive)]
+        cases += [(c, positive, True), (c, [p - k for k in positive], False), (c, mixed, None)]
+    assert len(cases) == 3 * count
+    return cases
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19])
+def test_sign_rule_picks_the_block_convention(p):
+    """All Im phi_j(alpha) > 0 gives the swapped convention, all < 0 the plain
+    one, mixed signs neither.
+
+    A uniform-sign form can still fail the gate on tau when its symplectic
+    basis is badly conditioned (ROADMAP item 3); that failure must then name
+    the measured asymmetry or eigenvalue, never the signs.
+    """
+    ctx = PrimeContext(p)
+    for c, members, swapped in sign_rule_cases(p):
+        pol = build_polarization(ctx, CmType(ctx, sorted(members)), c)
+        assert abs(pol.pfaffian) == 1
+        if swapped is None:
+            with pytest.raises(RiemannRelationsViolated, match="mixed signs"):
+                period_matrix(pol)
+            continue
+        try:
+            data = period_matrix(pol)
+        except RiemannRelationsViolated as exc:
+            assert "asymmetry" in str(exc) or "min eigenvalue of Im tau" in str(exc)
+            continue
+        assert data.block_swapped is swapped
 
 
 def test_negated_vector_flips_block_convention():
