@@ -28,7 +28,6 @@ from .lattice import (
     build_polarization,
     find_polarization,
     gram_matrix,
-    int_det,
     multiplication_matrix,
     period_matrix,
     period_report,
@@ -76,7 +75,7 @@ __all__ = [
     "PolarizationForm", "PeriodData", "AutomorphismReport",
     "riemann_form_value", "gram_matrix", "build_polarization",
     "find_polarization", "pfaffian", "symplectic_basis", "standard_symplectic",
-    "int_det", "multiplication_matrix", "period_matrix", "automorphism_check",
+    "multiplication_matrix", "period_matrix", "automorphism_check",
     "period_report", "reduce_to_fundamental_domain",
     "CyclicCoverSpec", "cover_genus", "cw_spectrum", "spectrum_support",
     "spectrum_class",

@@ -17,11 +17,14 @@ polarization is the whole input of the period pipeline: the sign vector of
 Im phi_j(alpha) alone decides which block convention gives tau, or that none
 does.
 
-Integer computations are exact and use no rationals: one integer congruence
-reduction yields both the Pfaffian and the symplectic basis, and the induced
-lattice automorphism is an integer matrix product.  Floating point enters
-only in the polarization prescreen, whose every hit an exact Pfaffian
-confirms, and in the period matrix itself and its verification.
+Integer computations are exact and use no rationals: every integer matrix
+(Gram matrix, symplectic basis U, induced automorphism R) is a numpy array of
+Python ints (dtype=object), exact at any size, and the matrices stored on the
+frozen dataclasses are read-only.  One integer congruence reduction yields
+both the Pfaffian and the symplectic basis, and the induced lattice
+automorphism is an integer matrix product.  Floating point enters only in the
+polarization prescreen, whose every hit an exact Pfaffian confirms, and in
+the period matrix itself and its verification.
 """
 
 import itertools
@@ -39,69 +42,12 @@ COMPOSED_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
-# exact integer linear algebra helpers
+# exact integer linear algebra on object arrays
 
 
-def standard_symplectic(g: int) -> list[list[int]]:
+def standard_symplectic(g: int) -> np.ndarray:
     """The 2g x 2g block matrix [[0, I], [-I, 0]]."""
-    n = 2 * g
-    J = [[0] * n for _ in range(n)]
-    for i in range(g):
-        J[i][g + i] = 1
-        J[g + i][i] = -1
-    return J
-
-
-def _int_matmul(A, B):
-    n, m, k = len(A), len(B[0]), len(B)
-    Bcols = list(zip(*B))
-    return [[sum(row[t] * col[t] for t in range(k)) for col in Bcols] for row in A]
-
-
-def _int_identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _int_transpose(A):
-    return [list(col) for col in zip(*A)]
-
-
-def int_rank_det(A) -> tuple[int, int]:
-    """Rank and determinant of an integer matrix by fraction-free (Bareiss)
-    elimination.
-
-    Every intermediate entry is a minor of ``A``, so each division is exact.
-    Columns without a pivot are skipped, which makes the routine work on
-    rectangular matrices too; the determinant is 0 unless ``A`` is square
-    and of full rank.
-    """
-    M = [list(row) for row in A]
-    n_rows, n_cols = len(M), len(M[0]) if M else 0
-    rank, sign, prev = 0, 1, 1
-    for col in range(n_cols):
-        if rank == n_rows:
-            break
-        pivot = next((i for i in range(rank, n_rows) if M[i][col]), None)
-        if pivot is None:
-            continue
-        if pivot != rank:
-            M[rank], M[pivot] = M[pivot], M[rank]
-            sign = -sign
-        top = M[rank]
-        d = top[col]
-        for row in M[rank + 1:]:
-            f = row[col]
-            for j in range(col + 1, n_cols):
-                row[j] = (row[j] * d - f * top[j]) // prev
-        prev = d
-        rank += 1
-    det = sign * prev if rank == n_rows == n_cols else 0
-    return rank, det
-
-
-def int_det(A) -> int:
-    """Exact determinant of a square integer matrix."""
-    return int_rank_det(A)[1]
+    return np.kron(np.array([[0, 1], [-1, 0]]), np.eye(g, dtype=int)).astype(object)
 
 
 def pfaffian(E) -> int:
@@ -111,89 +57,64 @@ def pfaffian(E) -> int:
     unimodular T, and Pf(T^T E T) = det T * Pf(E) with det T = +-1, so the
     Pfaffian is det T times the product of the d's.
     """
-    n = len(E)
-    if any(len(row) != n for row in E):
+    E = np.asarray(E, dtype=object)
+    if E.ndim != 2 or E.shape[0] != E.shape[1]:
         raise ValueError("pfaffian needs a square matrix")
-    if n % 2:
+    if len(E) % 2:
         raise ValueError("pfaffian undefined for odd dimension")
-    for i in range(n):
-        if E[i][i] != 0 or any(E[i][j] != -E[j][i] for j in range(i + 1, n)):
-            raise ValueError("pfaffian needs a skew-symmetric matrix")
+    if not np.array_equal(E, -E.T):
+        raise ValueError("pfaffian needs a skew-symmetric matrix")
     _, pivots, det_T = _skew_reduce(E)
     return det_T * math.prod(pivots)
 
 
-def _skew_reduce(E) -> tuple[list[list[int]], list[int], int]:
+def _skew_reduce(E: np.ndarray) -> tuple[np.ndarray, list[int], int]:
     """Integer congruence reduction of an even-dimensional skew matrix E.
 
     Returns (T, pivots, det T) with T unimodular and T^T E T block diagonal:
     rows 2i, 2i+1 hold the block [[0, d], [-d, 0]] with d = pivots[i] > 0.
-    Each step moves a minimal nonzero entry into pivot position, clears its
-    row pair by Euclidean steps, and splits off the plane.  A degenerate
-    form ends the pivot list with a 0.
+    Each step moves a minimal nonzero entry (the least (|v|, i, j), i < j)
+    into pivot position, clears its row pair by Euclidean steps, and splits
+    off the plane.  A degenerate form ends the pivot list with a 0.
     """
     n = len(E)
-    G = [list(row) for row in E]
-    T = _int_identity(n)
+    G = E.copy()
+    T = np.eye(n, dtype=object)
     pivots = []
     det_T = 1
-
-    def swap(i, j):
-        nonlocal det_T
-        for row in T:
-            row[i], row[j] = row[j], row[i]
-        G[i], G[j] = G[j], G[i]
-        for row in G:
-            row[i], row[j] = row[j], row[i]
-        det_T = -det_T
-
-    def move(src, dst):
-        while src > dst:
-            swap(src - 1, src)
-            src -= 1
-
-    def negate(i):
-        nonlocal det_T
-        for row in T:
-            row[i] = -row[i]
-        G[i] = [-x for x in G[i]]
-        for row in G:
-            row[i] = -row[i]
-        det_T = -det_T
-
-    def addmul(i, k, coef):
-        """Basis change b_i += coef * b_k."""
-        for row in T:
-            row[i] += coef * row[k]
-        for row in G:
-            row[i] += coef * row[k]
-        G[i] = [x + coef * y for x, y in zip(G[i], G[k])]
-
     for t in range(0, n, 2):
+        rows, cols = np.triu_indices(n - t, 1)
         while True:
-            best = min(((abs(G[i][j]), i, j) for i in range(t, n) for j in range(i + 1, n)
-                        if G[i][j]), default=None)
-            if best is None:
+            values = np.abs(G[rows + t, cols + t])
+            nonzero = np.flatnonzero(values)
+            if not nonzero.size:
                 return T, pivots + [0], det_T
-            _, i, j = best
-            move(i, t)
-            move(j, t + 1)
-            if G[t][t + 1] < 0:
-                negate(t + 1)
-            d = G[t][t + 1]
-            clean = True
-            for k in range(t + 2, n):
-                addmul(k, t + 1, -(G[t][k] // d))
-                addmul(k, t, G[t + 1][k] // d)
-                if G[t][k] or G[t + 1][k]:
-                    clean = False
-            if clean:
+            k = nonzero[np.argmin(values[nonzero])]
+            i, j = int(rows[k]) + t, int(cols[k]) + t
+            # bring b_i, b_j to positions t, t+1, keeping the others in order:
+            # (i - t) + (j - t - 1) adjacent transpositions
+            perm = [*range(t), i, j, *(m for m in range(t, n) if m not in (i, j))]
+            T, G = T[:, perm], G[np.ix_(perm, perm)]
+            det_T *= (-1) ** (i + j + 1)
+            if G[t, t + 1] < 0:
+                T[:, t + 1] *= -1
+                G[t + 1] *= -1
+                G[:, t + 1] *= -1
+                det_T = -det_T
+            d = G[t, t + 1]
+            # b_k += s_k b_t - r_k b_{t+1} for every k > t+1 leaves E(b_t, b_k)
+            # and E(b_{t+1}, b_k) as their remainders mod d
+            r, s = G[t, t + 2:] // d, G[t + 1, t + 2:] // d
+            T[:, t + 2:] += np.outer(T[:, t], s) - np.outer(T[:, t + 1], r)
+            G[:, t + 2:] += np.outer(G[:, t], s) - np.outer(G[:, t + 1], r)
+            G[t + 2:] += np.outer(s, G[t]) - np.outer(r, G[t + 1])
+            if not G[t:t + 2, t + 2:].any():
                 break
-        pivots.append(G[t][t + 1])
+        pivots.append(G[t, t + 1])
     return T, pivots, det_T
 
 
-def symplectic_basis(E) -> list[list[int]]:
+def symplectic_basis(E) -> np.ndarray:
     """Unimodular U with U^T E U equal to the standard symplectic form.
 
     E must be an integer skew-symmetric matrix with Pfaffian +-1.  Reorders
@@ -201,6 +122,7 @@ def symplectic_basis(E) -> list[list[int]]:
     layout.  Raises ValueError when the form is degenerate or an elementary
     divisor exceeds 1 (the form is not principal).
     """
+    E = np.asarray(E, dtype=object)
     n = len(E)
     if n % 2:
         raise ValueError("skew form on odd-dimensional lattice cannot be symplectic")
@@ -211,9 +133,8 @@ def symplectic_basis(E) -> list[list[int]]:
         if d != 1:
             raise ValueError(f"elementary divisors not all 1 (pivot {d}): form is not principal")
 
-    order = list(range(0, n, 2)) + list(range(1, n, 2))
-    U = [[row[c] for c in order] for row in T]
-    if _int_matmul(_int_transpose(U), _int_matmul(E, U)) != standard_symplectic(n // 2):
+    U = T[:, np.r_[0:n:2, 1:n:2]]
+    if not np.array_equal(U.T @ E @ U, standard_symplectic(n // 2)):
         raise InternalCheckFailed("symplectic reduction failed verification")
     return U
 
@@ -247,10 +168,10 @@ def riemann_form_value(ctx: PrimeContext, c, a: int, b: int) -> int:
     return _coeff(ctx, c, b - a)
 
 
-def gram_matrix(ctx: PrimeContext, c) -> list[list[int]]:
+def gram_matrix(ctx: PrimeContext, c) -> np.ndarray:
     """Gram matrix of the form on the power basis."""
-    n = ctx.p - 1
-    return [[_coeff(ctx, c, b - a) for b in range(n)] for a in range(n)]
+    n, c = ctx.p - 1, [int(x) for x in c]
+    return np.array([[_coeff(ctx, c, b - a) for b in range(n)] for a in range(n)], dtype=object)
 
 
 def _sines(ctx: PrimeContext, cm: CmType) -> np.ndarray:
@@ -258,16 +179,19 @@ def _sines(ctx: PrimeContext, cm: CmType) -> np.ndarray:
     return np.sin(2 * np.pi * np.outer(cm.members, np.arange(1, ctx.g + 1)) / ctx.p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolarizationForm:
     """An integral alternating form attached to an odd coefficient vector."""
 
     ctx: PrimeContext
     cm_type: CmType
     c: tuple[int, ...]
-    gram: tuple[tuple[int, ...], ...]
+    gram: np.ndarray
     alpha_imag: tuple[float, ...]
     pfaffian: int
+
+    def __post_init__(self):
+        self.gram.setflags(write=False)
 
     @property
     def is_principal_positive(self) -> bool:
@@ -281,9 +205,7 @@ def build_polarization(ctx: PrimeContext, cm: CmType, c) -> PolarizationForm:
         raise ValueError(f"need {ctx.g} coefficients, got {len(c)}")
     gram = gram_matrix(ctx, c)
     alpha_imag = 2.0 / ctx.p * (_sines(ctx, cm) @ np.array(c, dtype=np.float64))
-    return PolarizationForm(
-        ctx, cm, c, tuple(tuple(row) for row in gram), tuple(alpha_imag.tolist()), pfaffian(gram)
-    )
+    return PolarizationForm(ctx, cm, c, gram, tuple(alpha_imag.tolist()), pfaffian(gram))
 
 
 def find_polarization(ctx: PrimeContext, cm: CmType, bound: int = 5) -> PolarizationForm:
@@ -325,28 +247,28 @@ def find_polarization(ctx: PrimeContext, cm: CmType, bound: int = 5) -> Polariza
 # period matrices and the induced automorphism
 
 
-def multiplication_matrix(ctx: PrimeContext) -> list[list[int]]:
+def multiplication_matrix(ctx: PrimeContext) -> np.ndarray:
     """Multiplication by xi on the power basis (companion matrix of the p-th
     cyclotomic polynomial)."""
-    n = ctx.p - 1
-    M = [[0] * n for _ in range(n)]
-    for j in range(n - 1):
-        M[j + 1][j] = 1
-    for i in range(n):
-        M[i][n - 1] = -1
+    M = np.eye(ctx.p - 1, k=-1, dtype=object)
+    M[:, -1] = -1
     return M
 
 
 @dataclass(frozen=True, eq=False)
 class PeriodData:
-    """A period matrix together with the exact data that produced it."""
+    """A period matrix together with the exact data that produced it: the
+    symplectic basis U and the induced automorphism R = U^-1 M U."""
 
     polarization: PolarizationForm
-    U: tuple[tuple[int, ...], ...]
-    M: tuple[tuple[int, ...], ...]
-    R: tuple[tuple[int, ...], ...]
+    U: np.ndarray
+    R: np.ndarray
     tau: np.ndarray
     block_swapped: bool
+
+    def __post_init__(self):
+        self.U.setflags(write=False)
+        self.R.setflags(write=False)
 
 
 def period_matrix(polarization: PolarizationForm) -> PeriodData:
@@ -360,7 +282,7 @@ def period_matrix(polarization: PolarizationForm) -> PeriodData:
     type.  Raises ``RiemannRelationsViolated`` naming the quantity that failed.
     """
     ctx, cm = polarization.ctx, polarization.cm_type
-    E = [list(row) for row in polarization.gram]
+    E = polarization.gram
     U = symplectic_basis(E)
     violated = (f"Riemann relations violated for c = {list(polarization.c)} "
                 f"on set {list(cm.members)}")
@@ -371,7 +293,7 @@ def period_matrix(polarization: PolarizationForm) -> PeriodData:
         )
     block_swapped = signs[0] == "+"
     images = np.exp(2j * np.pi * np.outer(np.array(cm.members), np.arange(ctx.p - 1)) / ctx.p)
-    W = images @ np.array(U, dtype=np.float64)
+    W = images @ U.astype(np.float64)
     g = ctx.g
     P1, P2 = W[:, :g], W[:, g:]
     try:
@@ -390,12 +312,8 @@ def period_matrix(polarization: PolarizationForm) -> PeriodData:
         )
     # U^T E U = J and J^-1 = -J give U^-1 = -J U^T E, so the induced
     # automorphism R = U^-1 M U is an integer product.
-    M = multiplication_matrix(ctx)
-    neg_J = [[-x for x in row] for row in standard_symplectic(g)]
-    U_inv = _int_matmul(neg_J, _int_matmul(_int_transpose(U), E))
-    R = _int_matmul(_int_matmul(U_inv, M), U)
-    freeze = lambda A: tuple(tuple(row) for row in A)
-    return PeriodData(polarization, freeze(U), freeze(M), freeze(R), tau, block_swapped)
+    R = -standard_symplectic(g) @ U.T @ E @ multiplication_matrix(ctx) @ U
+    return PeriodData(polarization, U, R, tau, block_swapped)
 
 
 @dataclass(frozen=True)
@@ -439,26 +357,19 @@ def automorphism_check(data: PeriodData) -> AutomorphismReport:
     on the chosen basis, fixes tau, and has the prescribed eigenvalues."""
     pol = data.polarization
     p, g = pol.ctx.p, pol.ctx.g
-    E = [list(row) for row in pol.gram]
-    M = [list(row) for row in data.M]
-    R = [list(row) for row in data.R]
+    E, M, R = pol.gram, multiplication_matrix(pol.ctx), data.R
     J = standard_symplectic(g)
 
-    gram_preserved = _int_matmul(_int_transpose(M), _int_matmul(E, M)) == E
-
-    power = _int_identity(p - 1)
-    for _ in range(p):
-        power = _int_matmul(power, R)
-    order_p = power == _int_identity(p - 1)
-
-    symplectic = _int_matmul(_int_transpose(R), _int_matmul(J, R)) == J
+    gram_preserved = np.array_equal(M.T @ E @ M, E)
+    order_p = np.array_equal(np.linalg.matrix_power(R, p), np.eye(p - 1, dtype=object))
+    symplectic = np.array_equal(R.T @ J @ R, J)
 
     if data.block_swapped:
-        perm = list(range(g, 2 * g)) + list(range(g))
-        R_eff = [[R[a][b] for b in perm] for a in perm]
+        perm = np.r_[g:2 * g, 0:g]
+        R_eff = R[np.ix_(perm, perm)]
     else:
         R_eff = R
-    S = np.array(_int_transpose(R_eff), dtype=np.float64)
+    S = R_eff.T.astype(np.float64)
     A, B = S[:g, :g], S[:g, g:]
     C, D = S[g:, :g], S[g:, g:]
     tau = data.tau
@@ -469,8 +380,7 @@ def automorphism_check(data: PeriodData) -> AutomorphismReport:
         fixes_tau_error = float("inf")
     fixes_tau = fixes_tau_error < COMPOSED_TOL
 
-    R_eff_arr = np.array(R_eff, dtype=np.float64)
-    analytic = tau @ R_eff_arr[:g, g:] + R_eff_arr[g:, g:]
+    analytic = tau @ S.T[:g, g:] + S.T[g:, g:]
     eigs = np.linalg.eigvals(analytic)
     eigs = eigs[np.argsort(np.mod(np.angle(eigs), 2 * np.pi))]
     expected = np.exp(2j * np.pi * np.array(pol.cm_type.members) / p)

@@ -1,8 +1,25 @@
 """Reference for the Chevalley-Weil closed form: the character multiplicities
 of a cyclic cover counted from explicit differentials."""
 
+from fractions import Fraction
+
 from extremalav.covers import CyclicCoverSpec
-from extremalav.lattice import int_rank_det
+
+
+def rank_oracle(A):
+    """Rank by plain rational row reduction."""
+    M = [[Fraction(x) for x in row] for row in A]
+    rank = 0
+    for col in range(len(M[0])):
+        piv = next((r for r in range(rank, len(M)) if M[r][col]), None)
+        if piv is None:
+            continue
+        M[piv], M[rank] = M[rank], M[piv]
+        for r in range(rank + 1, len(M)):
+            f = M[r][col] / M[rank][col]
+            M[r] = [x - f * y for x, y in zip(M[r], M[rank])]
+        rank += 1
+    return rank
 
 
 def bruteforce_multiplicity(spec: CyclicCoverSpec, t: int) -> int:
@@ -33,4 +50,4 @@ def bruteforce_multiplicity(spec: CyclicCoverSpec, t: int) -> int:
             for _ in range(low + extra):
                 poly = [c1 - e * c0 for c1, c0 in zip([0] + poly, poly + [0])]
         vectors.append(poly + [0] * (degree_cap + 1 - len(poly)))
-    return int_rank_det(vectors)[0]
+    return rank_oracle(vectors)
