@@ -42,12 +42,7 @@ class PrimeContext:
 
 def element_order(ctx: PrimeContext, k: int) -> int:
     """Multiplicative order of k modulo p."""
-    ctx.check_residue(k)
-    order, acc = 1, k % ctx.p
-    while acc != 1:
-        acc = acc * k % ctx.p
-        order += 1
-    return order
+    return len(subgroup_generated(ctx, k))
 
 
 def subgroup_generated(ctx: PrimeContext, k: int) -> tuple[int, ...]:

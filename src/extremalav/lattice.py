@@ -143,14 +143,12 @@ def symplectic_basis(E) -> np.ndarray:
 # the CM lattice and its alternating forms
 
 
-def _coeff(ctx: PrimeContext, c, m: int) -> int:
-    """c extended to all residues: c_0 = 0 and c_{p-k} = -c_k."""
-    m %= ctx.p
-    if m == 0:
-        return 0
-    if m <= ctx.g:
-        return c[m - 1]
-    return -c[ctx.p - m - 1]
+def _odd_table(ctx: PrimeContext, c) -> np.ndarray:
+    """c extended to all residues mod p as Python ints: c_0 = 0, c_{p-k} = -c_k."""
+    c = [int(x) for x in c]
+    if len(c) != ctx.g:
+        raise ValueError(f"need {ctx.g} coefficients, got {len(c)}")
+    return np.array([0, *c, *(-x for x in reversed(c))], dtype=object)
 
 
 def riemann_form_value(ctx: PrimeContext, c, a: int, b: int) -> int:
@@ -160,18 +158,17 @@ def riemann_form_value(ctx: PrimeContext, c, a: int, b: int) -> int:
     coefficient lookup because the traces of nontrivial p-th roots are all -1
     and the c-table is odd.
     """
-    if len(c) != ctx.g:
-        raise ValueError(f"need {ctx.g} coefficients, got {len(c)}")
+    table = _odd_table(ctx, c)
     for a_, name in ((a, "a"), (b, "b")):
         if not 0 <= a_ <= ctx.p - 2:
             raise ValueError(f"{name} out of range 0..{ctx.p - 2}: {a_}")
-    return _coeff(ctx, c, b - a)
+    return table[(b - a) % ctx.p]
 
 
 def gram_matrix(ctx: PrimeContext, c) -> np.ndarray:
     """Gram matrix of the form on the power basis."""
-    n, c = ctx.p - 1, [int(x) for x in c]
-    return np.array([[_coeff(ctx, c, b - a) for b in range(n)] for a in range(n)], dtype=object)
+    k = np.arange(ctx.p - 1)
+    return _odd_table(ctx, c)[(k - k[:, None]) % ctx.p]
 
 
 def _sines(ctx: PrimeContext, cm: CmType) -> np.ndarray:
@@ -201,8 +198,6 @@ class PolarizationForm:
 def build_polarization(ctx: PrimeContext, cm: CmType, c) -> PolarizationForm:
     """Assemble the form data for a coefficient vector, without any gating."""
     c = tuple(int(x) for x in c)
-    if len(c) != ctx.g:
-        raise ValueError(f"need {ctx.g} coefficients, got {len(c)}")
     gram = gram_matrix(ctx, c)
     alpha_imag = 2.0 / ctx.p * (_sines(ctx, cm) @ np.array(c, dtype=np.float64))
     return PolarizationForm(ctx, cm, c, gram, tuple(alpha_imag.tolist()), pfaffian(gram))
@@ -218,24 +213,28 @@ def find_polarization(ctx: PrimeContext, cm: CmType, bound: int = 5) -> Polariza
     half of that value separates |Pf| = 1 from every other value with room to
     spare; the exact Pfaffian then decides each hit.
 
+    Each s_j is linear in c, so the signs of every tail (the last t
+    coefficients, in lexicographic order) are tabled once, and each head (the
+    first g - t, in the same order) shifts that table.  t is the most, at
+    least 1, that gives at most 2**14 tails: memory does not grow with bound.
+
     Raises ``PolarizationNotFound`` when the box is exhausted.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     g, p = ctx.g, ctx.p
+    width = 2 * bound + 1
+    t = next((t for t in range(g, 1, -1) if width ** t <= 1 << 14), 1)
     sines = _sines(ctx, cm)
     unit_product = math.sqrt(p) / 2**g  # prod_j s_j when |Pf| = 1
-    candidates = itertools.product(range(-bound, bound + 1), repeat=g)
-    chunk_size = 1 << 13
-    while True:
-        chunk = list(itertools.islice(candidates, chunk_size))
-        if not chunk:
-            break
-        signs = np.asarray(chunk, dtype=np.float64) @ sines.T
-        positive = np.flatnonzero((signs > 0.0).all(axis=1))
-        products = signs[positive].prod(axis=1)
+    tails = np.indices((width,) * t).reshape(t, -1) - bound  # one column per tail
+    tail_signs = sines[:, g - t:] @ tails
+    for head in itertools.product(range(-bound, bound + 1), repeat=g - t):
+        signs = tail_signs + (sines[:, :g - t] @ head)[:, None]
+        positive = np.flatnonzero((signs > 0.0).all(axis=0))
+        products = signs[:, positive].prod(axis=0)
         for idx in positive[np.abs(products - unit_product) < unit_product / 2]:
-            form = build_polarization(ctx, cm, chunk[idx])
+            form = build_polarization(ctx, cm, (*head, *tails[:, idx]))
             if abs(form.pfaffian) == 1:
                 return form
     raise PolarizationNotFound(

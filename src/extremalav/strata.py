@@ -2,7 +2,7 @@
 
 A class is an isolated singular point exactly when its stabilizer is trivial;
 equivalently (for these maximal-prime-order classes) when the underlying
-torus is simple.  A nontrivial stabilizer element theta of prime order q
+torus is simple.  A nontrivial stabilizer element theta of odd prime order q
 places the class inside a positive-dimensional stratum of classes admitting
 an order-q automorphism, whose dimension is computable from the eigenvalue
 multiplicities (n_0, ..., n_{q-1}) of the induced analytic action:
@@ -28,7 +28,8 @@ from .orbits import canonical_form  # noqa: F401
 
 @dataclass(frozen=True)
 class SpectrumProfile:
-    """Eigenvalue multiplicities of an order-q action on a g-dimensional torus.
+    """Eigenvalue multiplicities of an action of odd prime order q on a
+    g-dimensional torus (at q = 2 the -1 eigenspace is real).
 
     ``multiplicities[i]`` counts the eigenvalue exp(2*pi*i*I/q); the profile
     must satisfy the pairing constraint n_i + n_{q-i} = r for i != 0.
@@ -42,6 +43,8 @@ class SpectrumProfile:
         n = self.multiplicities
         if not is_prime(self.q):
             raise ValueError(f"inconsistent spectrum: q = {self.q} is not prime")
+        if self.q == 2:
+            raise ValueError("inconsistent spectrum: q = 2 is not an odd prime")
         if len(n) != self.q or any(m < 0 or not isinstance(m, int) for m in n):
             raise ValueError(f"inconsistent spectrum: need {self.q} multiplicities >= 0")
         pair_sums = {n[i] + n[self.q - i] for i in range(1, (self.q + 1) // 2)}

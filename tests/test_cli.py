@@ -13,7 +13,7 @@ import pytest
 import extremalav.cli as cli
 from extremalav import __version__
 from extremalav.cli import main
-from extremalav.cmtypes import CmType
+from extremalav.cmtypes import CmType, enumerate_cm_types
 from extremalav.errors import PolarizationNotFound
 from extremalav.fp import PrimeContext
 from extremalav.lattice import build_polarization
@@ -187,6 +187,25 @@ def test_classify_p13_with_lattice_digest(capsys):
     )
 
 
+def test_period_queries_digest(capsys):
+    """``period`` on all 96 CM types at p = 11 and 13, pinned byte for byte
+    over stdout, stderr and exit code.  28 of them fail a check with exit 5,
+    and their messages are pinned too: a change of tau or of a failure must
+    be a recorded edit here."""
+    digest = hashlib.sha256()
+    failures = 0
+    for p in (11, 13):
+        for cm in enumerate_cm_types(PrimeContext(p)):
+            members = ",".join(map(str, cm.members))
+            code, out, err = run(capsys, "period", "--p", str(p), "--set", members)
+            digest.update(f"{code}\n{out}\n{err}\n".encode())
+            failures += code != 0
+    assert failures == 28
+    assert digest.hexdigest() == (
+        "f7608092532a894ec2591e73b8e1288c4cabcdb2815c3f81e2aaa484e9c4b5df"
+    )
+
+
 def test_single_document_formats_agree(capsys):
     _, as_json, _ = run(capsys, "dim", "--q", "3", "--mults", "2,2,2")
     _, as_csv, _ = run(capsys, "dim", "--q", "3", "--mults", "2,2,2", "--format", "csv")
@@ -212,6 +231,7 @@ def test_single_document_formats_agree(capsys):
         ("polarize", "--p", "7", "--set", "1,2,3", "--bound", "0"),
         ("spectrum", "--p", "7", "--exponents", "3,4"),
         ("spectrum", "--p", "7", "--exponents", "0,1,6"),
+        ("dim", "--q", "2", "--mults", "1,1"),
     ],
 )
 def test_invalid_input_exits_2(capsys, argv):

@@ -7,16 +7,18 @@ alternating form against the field trace evaluated with complex arithmetic.
 """
 
 import cmath
+import itertools
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import extremalav.lattice as lattice
-from extremalav.cmtypes import CmType
+from extremalav.cmtypes import CmType, enumerate_cm_types
 from extremalav.errors import PolarizationNotFound, RiemannRelationsViolated
 from extremalav.fp import PrimeContext
 from extremalav.lattice import (
@@ -308,19 +310,32 @@ def test_alpha_imag_against_complex_arithmetic():
         (11, (1, 3, 4, 5, 9), (0, -1, 0, 1, 1), -1),
     ],
 )
-def test_find_polarization_frozen_results(p, members, c, pf):
+def test_find_polarization_frozen_results(p, members, c, pf, bound=1):
     ctx = PrimeContext(p)
-    pol = find_polarization(ctx, CmType(ctx, members), bound=1)
+    pol = find_polarization(ctx, CmType(ctx, members), bound=bound)
     assert pol.c == c
     assert pol.pfaffian == pf
     assert pol.is_principal_positive
     assert all(v > 0 for v in pol.alpha_imag)
 
 
+@pytest.mark.parametrize(
+    "p,members,c,pf",
+    [
+        (11, (1, 2, 3, 4, 6), (-1, 3, -4, 5, -5), -1),
+        (11, (1, 3, 4, 5, 9), (-3, -5, 1, 5, 5), -1),
+        (13, (1, 2, 3, 4, 5, 7), (0, 1, -2, 3, -4, 5), -1),
+        (13, (3, 5, 7, 9, 11, 12), (-5, -5, -5, -5, -1, 1), 1),
+    ],
+)
+def test_find_polarization_frozen_results_bound_5(p, members, c, pf):
+    """At bound 5 the box splits into heads and a tail table, which no
+    bound-1 box at p <= 13 does."""
+    test_find_polarization_frozen_results(p, members, c, pf, bound=5)
+
+
 def test_find_polarization_returns_lexicographic_first():
     """Scan the unit box by hand and require the same winner."""
-    import itertools
-
     ctx = PrimeContext(7)
     cm = CmType(ctx, (1, 2, 4))
     found = find_polarization(ctx, cm, bound=1)
@@ -331,6 +346,39 @@ def test_find_polarization_returns_lexicographic_first():
             break
     else:
         pytest.fail("hand scan found nothing")
+
+
+def lexicographic_first_oracle(p, members, bound):
+    """Scan the box in itertools.product order in math floats: the first c
+    with every s_j > 0 whose closed-form |Pf| rounds to 1."""
+    g = (p - 1) // 2
+    rows = [[math.sin(2 * math.pi * j * k / p) for k in range(1, g + 1)] for j in members]
+    for c in itertools.product(range(-bound, bound + 1), repeat=g):
+        signs = []
+        for row in rows:
+            s = sum(ck * sk for ck, sk in zip(c, row))
+            if s <= 0:
+                break
+            signs.append(s)
+        else:
+            if round(math.prod(2 * s for s in signs) / math.sqrt(p)) == 1:
+                return c
+    return None
+
+
+@pytest.mark.parametrize("bound", [2, 3])
+@pytest.mark.parametrize("p", [11, 13])
+def test_find_polarization_matches_pure_python_scan(p, bound):
+    """At bound 3 the box splits into heads and a tail table (bound 2 still
+    fits in one table); the winner must be the first hit of a plain
+    lexicographic scan either way."""
+    ctx = PrimeContext(p)
+    for cm in enumerate_cm_types(ctx):
+        expected = lexicographic_first_oracle(p, cm.members, bound)
+        assert expected is not None
+        pol = find_polarization(ctx, cm, bound=bound)
+        assert pol.c == expected
+        assert abs(pol.pfaffian) == 1
 
 
 def test_find_polarization_bad_bound():
@@ -348,6 +396,21 @@ def test_find_polarization_exhausts_box(monkeypatch):
         find_polarization(ctx, CmType(ctx, (1, 2, 3)), bound=1)
 
 
+def test_find_polarization_memory_does_not_grow_with_bound(monkeypatch):
+    """Exhausting the box [-30, 30]^3 holds a bounded tail table, not all
+    61^3 candidates at once."""
+    monkeypatch.setattr(lattice, "pfaffian", lambda E: 3)
+    ctx = PrimeContext(7)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PolarizationNotFound, match="no polarization in box"):
+            find_polarization(ctx, CmType(ctx, (1, 2, 3)), bound=30)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])
 def test_pfaffian_closed_form(p):
     """|Pf| = prod_{j in C} |2 s_j| / sqrt(p), s_j = sum_k c_k sin(2 pi j k / p), for
@@ -361,6 +424,23 @@ def test_pfaffian_closed_form(p):
             for j in members
         ) / math.sqrt(p)
         assert closed == pytest.approx(abs(pfaffian(gram_matrix(ctx, c))), rel=1e-9)
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda ctx, c: gram_matrix(ctx, c),
+        lambda ctx, c: riemann_form_value(ctx, c, 0, 1),
+        lambda ctx, c: build_polarization(ctx, CmType(ctx, (1, 2, 3)), c),
+    ],
+    ids=["gram_matrix", "riemann_form_value", "build_polarization"],
+)
+def test_wrong_coefficient_count_raises(call, delta):
+    ctx = PrimeContext(7)
+    c = [1, -1, 1, 2][:ctx.g + delta]
+    with pytest.raises(ValueError, match=f"need 3 coefficients, got {3 + delta}"):
+        call(ctx, c)
 
 
 def test_build_polarization_validates_length():

@@ -42,6 +42,7 @@ def test_profile_accepts_lists():
         (3, (0, 1)),           # wrong length
         (3, (0, -1, 1)),       # negative entry
         (5, (0, 1, 2, 2, 2)),  # n1+n4 = 3 but n2+n3 = 4
+        (2, (1, 1)),           # q = 2: the -1 eigenspace is real
     ],
 )
 def test_profile_rejects_malformed(q, mults):
