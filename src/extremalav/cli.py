@@ -131,10 +131,69 @@ def run_spectrum(p: int, exponents: tuple[int, ...]) -> dict:
 # output formatting
 
 
+def _is_int_list(value) -> bool:
+    return type(value) is list and {*map(type, value)} <= {int}
+
+
 def _cell(value) -> str:
+    if _is_int_list(value):
+        # A literal "[]" is one shared string, as from json.dumps([]); a fresh
+        # one per empty cell costs 1.3 MB at p = 41.
+        return "[" + ",".join(map(str, value)) + "]" if value else "[]"
     if isinstance(value, (list, dict)):
         return json.dumps(value, separators=(",", ":"))
     return str(value)
+
+
+# Line breaks of json.dumps(indent=2) before a row, a row's field and an
+# element of a field's list.
+_ROW = "\n    "
+_FIELD = _ROW + "  "
+_ELEMENT = _FIELD + "  "
+_CHUNK_ROWS = 128
+
+
+def _field_json(value) -> str:
+    """``value`` as ``json.dumps(indent=2)`` writes it at a row field's depth."""
+    if type(value) is bool:
+        return "true" if value else "false"
+    if type(value) is int:
+        return str(value)
+    if type(value) is list:
+        if not value:
+            return "[]"
+        if _is_int_list(value):
+            return "[" + _ELEMENT + ("," + _ELEMENT).join(map(str, value)) + _FIELD + "]"
+    return json.dumps(value, indent=2).replace("\n", _FIELD)
+
+
+def _row_json(row, keys: dict) -> str:
+    """One row as ``json.dumps(indent=2)`` writes it inside ``classes``;
+    ``keys`` holds the encoded row keys of the document."""
+    if type(row) is not dict or not row:
+        return json.dumps(row, indent=2).replace("\n", _ROW)
+    fields = []
+    for key, value in row.items():
+        name = keys.get(key)
+        if name is None:
+            name = keys[key] = json.dumps(key) + ": "
+        fields.append(name + _field_json(value))
+    return "{" + _FIELD + ("," + _FIELD).join(fields) + _ROW + "}"
+
+
+def _write_rows_json(doc: dict, sink) -> None:
+    """Write ``json.dumps(doc, indent=2)`` for a document with a ``classes``
+    list, ``_CHUNK_ROWS`` rows (about 60 KB) per write: one write per row, or
+    chunks of a few hundred KB, fragment the heap and raise peak RSS."""
+    marker = '\n  "classes": ['
+    head, _, tail = json.dumps({**doc, "classes": []}, indent=2).partition(marker + "]")
+    sink.write(head + marker)
+    rows, keys = doc["classes"], {}
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        chunk = [_row_json(row, keys) for row in rows[start:start + _CHUNK_ROWS]]
+        sink.write(("," if start else "") + _ROW)
+        sink.write(("," + _ROW).join(chunk))
+    sink.write(("\n  ]" if rows else "]") + tail)
 
 
 def _rows_and_headers(doc: dict) -> tuple[list[str], list[list[str]]]:
@@ -148,9 +207,11 @@ def _rows_and_headers(doc: dict) -> tuple[list[str], list[list[str]]]:
 def render(doc: dict, fmt: str) -> str:
     if fmt == "json":
         sink = io.StringIO()
-        # json.dump writes the encoder's chunks as they come; json.dumps
-        # would first hold every chunk in one list.
-        json.dump(doc, sink, indent=2)
+        # The row writer is exact: json.dumps escapes every newline inside a string.
+        if type(doc.get("classes")) is list:
+            _write_rows_json(doc, sink)
+        else:
+            json.dump(doc, sink, indent=2)
         sink.write("\n")
         return sink.getvalue()
     headers, rows = _rows_and_headers(doc)

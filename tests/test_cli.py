@@ -162,9 +162,34 @@ def test_table_format(capsys):
     assert len(lines) == 3
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
-def test_json_render_equals_json_dumps(p):
-    doc = cli.run_classify(p)
+# Documents for the JSON row writer: every value type it dispatches on, rows
+# past one write chunk (p >= 29), documents without rows, and synthetic rows
+# that the program never builds.
+RENDER_DOCUMENTS = [
+    *(pytest.param(lambda p=p: cli.run_classify(p), id=str(p))
+      for p in [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]),
+    *(pytest.param(lambda p=p: cli.run_orbits(p), id=f"orbits-{p}") for p in [7, 13, 31]),
+    *(pytest.param(lambda p=p: cli.run_classify(p, with_lattice=True), id=f"lattice-{p}")
+      for p in [7, 11, 13]),
+    pytest.param(lambda: cli.run_period(7, (1, 2, 4), 1), id="period"),
+    pytest.param(lambda: cli.run_polarize(7, (1, 2, 4), 1), id="polarize"),
+    pytest.param(lambda: cli.run_stabilizer(11, (1, 3, 4, 5, 9)), id="stabilizer"),
+    pytest.param(lambda: cli.run_dim(5, (1, 1, 1, 1, 1)), id="dim"),
+    pytest.param(lambda: cli.run_spectrum(5, (1, 1, 1)), id="spectrum-without-class"),
+    pytest.param(lambda: {"p": 5, "classes": []}, id="no-rows"),
+    pytest.param(lambda: {"classes": [{"name": 'a "b"\nc', "set": [1]}], "p": 5},
+                 id="escaped-string"),
+    pytest.param(lambda: {"classes": [{"mixed": [1, True, 1.5], "flags": [True, False]}]},
+                 id="mixed-list"),
+    pytest.param(lambda: {"classes": [{"a": 1, "b": [2, 3]}, {"b": None, "c": {"d": [4]}},
+                                      {}, [5], 6]},
+                 id="differing-rows"),
+]
+
+
+@pytest.mark.parametrize("make", RENDER_DOCUMENTS)
+def test_json_render_equals_json_dumps(make):
+    doc = make()
     assert cli.render(doc, "json") == json.dumps(doc, indent=2) + "\n"
 
 
@@ -185,6 +210,24 @@ def test_classify_p13_with_lattice_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "42e3476bd3415626c203ab4bfb424e6e7bdbc84b61fef92734ef1d5cecb34b87"
     )
+
+
+@pytest.mark.parametrize("argv, size, digest", [
+    (("--p", "41"), 12266609,
+     "2b9b189167166da0719036c1d62e220b820402fded79357239ea529e3389545b"),
+    (("--p", "31", "--format", "csv"), 74018,
+     "bb67224a1f2c65f997cbaf26a5a1fc6ebf628234753107b9914aeb047e223335"),
+    (("--p", "31", "--format", "table"), 162686,
+     "d26f540ed5524010cbeda7ac874fcf87608469e58f43a1c3b59f7216295a0844"),
+    (("--p", "13", "--with-lattice", "--format", "csv"), 10702,
+     "a44a31ca14fcea2b4a58941f32c40cc9e69d8217ab3209e61178681aa009f2b1"),
+], ids=["p41-json", "p31-csv", "p31-table", "p13-lattice-csv"])
+def test_classify_output_digest(capsys, argv, size, digest):
+    """Larger classify outputs, pinned byte for byte in each format."""
+    code, out, _ = run(capsys, "classify", *argv)
+    assert code == 0
+    assert len(out.encode()) == size
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_period_queries_digest(capsys):
