@@ -27,11 +27,12 @@ def check_cap(ctx: PrimeContext, cap: int) -> None:
 
 
 def is_cm_type(ctx: PrimeContext, members) -> bool:
-    """True iff ``members`` picks exactly one residue from every pair {k, p-k}."""
+    """True iff ``members`` picks exactly one residue from every pair {k, p-k}, once."""
+    members = tuple(members)
     s = set(members)
     for k in s:
         ctx.check_residue(k)
-    if len(s) != ctx.g:
+    if len(members) != ctx.g:
         return False
     return all((k in s) != (ctx.p - k in s) for k in range(1, ctx.g + 1))
 

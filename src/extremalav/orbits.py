@@ -8,6 +8,9 @@ The orbit count is cross-checked by a Burnside (orbit-counting lemma)
 computation that never touches the enumeration: a translate-by-k fixed point
 is a union of <k>-cosets, and negation pairs those cosets up whenever -1 is
 outside <k>.
+
+(Z/p)^* is cyclic, with one subgroup of each order n dividing p-1, the n-th
+roots of unity, so a stabilizer is found as its order alone.
 """
 
 from dataclasses import dataclass
@@ -18,7 +21,7 @@ from .cmtypes import DEFAULT_ENUMERATION_CAP, CmType, check_cap
 # Not called here: kept so that the layer tracer in bench/layers.py can wrap it.
 from .cmtypes import enumerate_cm_types  # noqa: F401
 from .errors import EnumerationCapExceeded
-from .fp import PrimeContext, element_order, subgroup_generated
+from .fp import PrimeContext, element_order
 
 #: Bits in the sweep's indicator word, one per residue 1..p-1, so p <= 65.
 WORD_BITS = 64
@@ -62,9 +65,6 @@ class Stabilizer:
         }
 
 
-_TRIVIAL = Stabilizer((1,), 1, 1)
-
-
 def stabilizer(ctx: PrimeContext, cm: CmType) -> Stabilizer:
     """Stabilizer of ``cm`` under translation, with its smallest generator.
 
@@ -77,14 +77,14 @@ def stabilizer(ctx: PrimeContext, cm: CmType) -> Stabilizer:
 
 def _stabilizer(ctx: PrimeContext, translates) -> Stabilizer:
     """The stabilizer read off the translates of one CM type by k = 1..p-1."""
-    return _subgroup(ctx, [k for k, t in enumerate(translates, 1) if t == translates[0]])
+    return _subgroup(ctx, translates.count(translates[0]))
 
 
-def _subgroup(ctx: PrimeContext, elements: list[int]) -> Stabilizer:
-    """The stabilizer with these ascending elements."""
-    order = len(elements)
+def _subgroup(ctx: PrimeContext, order: int) -> Stabilizer:
+    """The unique subgroup of this order: the order-th roots of unity."""
+    elements = tuple(k for k in range(1, ctx.p) if pow(k, order, ctx.p) == 1)
     generator = min(k for k in elements if element_order(ctx, k) == order)
-    return Stabilizer(tuple(elements), order, generator)
+    return Stabilizer(elements, order, generator)
 
 
 @dataclass(frozen=True)
@@ -158,9 +158,9 @@ def orbit_classes(ctx: PrimeContext, cap: int = DEFAULT_ENUMERATION_CAP) -> list
     is chosen) in chunks and, after each k, keeps the words no smaller than
     their translate: one word per orbit survives.  Only types containing
     residue 1 are swept, since every orbit's largest word contains it; their
-    translate by -1, the complement, never beats them.  The stabilizer of a
-    survivor is 1 and the k whose translate equals it.  Memory is one chunk,
-    the survivors and the classes.
+    translate by -1, the complement, never beats them.  A survivor's
+    stabilizer order counts 1 and the k whose translate equals it.  Memory
+    is one chunk, the survivors and the classes.
     """
     check_cap(ctx, cap)
     p, g = ctx.p, ctx.g
@@ -172,24 +172,24 @@ def orbit_classes(ctx: PrimeContext, cap: int = DEFAULT_ENUMERATION_CAP) -> list
     encode = _byte_tables([p - 2 - j for j in range(g)])  # unset bit j: residue j+1
     moves = [_translation(p, k) for k in range(2, p - 1)]
     half = 1 << (g - 1)
-    words = []
+    parts = []
     for start in range(0, half, CHUNK):
         masks = np.arange(start, min(start + CHUNK, half), dtype=np.uint64) << 1
         w = masks | _permute(encode, masks ^ ((1 << g) - 1))
         for table in moves:
             w = w[w >= _permute(table, w)]
-        words += w.tolist()
-    words.sort(reverse=True)
-    survivors = np.array(words, dtype=np.uint64)
-    fixers = {}
-    for k, table in enumerate(moves, 2):
-        for i in np.flatnonzero(survivors == _permute(table, survivors)).tolist():
-            fixers.setdefault(i, [1]).append(k)
+        parts.append(w)
+    # Descending and contiguous: _permute views the buffer as bytes.
+    survivors = np.sort(np.concatenate(parts))[::-1].copy()
+    orders = np.ones(len(survivors), dtype=np.int64)
+    for table in moves:
+        orders += survivors == _permute(table, survivors)
+    stabs = {n: _subgroup(ctx, n) for n in set(orders.tolist())}
     classes = []
-    for start in range(0, len(words), CHUNK):
-        for i, members in enumerate(_members(ctx, survivors[start:start + CHUNK]), start):
-            stab = _subgroup(ctx, fixers[i]) if i in fixers else _TRIVIAL
-            classes.append(OrbitClass(CmType._unchecked(ctx, members), (p - 1) // stab.order, stab))
+    for start in range(0, len(survivors), CHUNK):
+        stop = start + CHUNK
+        for members, n in zip(_members(ctx, survivors[start:stop]), orders[start:stop].tolist()):
+            classes.append(OrbitClass(CmType._unchecked(ctx, members), (p - 1) // n, stabs[n]))
     return classes
 
 
@@ -198,15 +198,12 @@ def burnside_count(ctx: PrimeContext) -> int:
 
     Translation by k fixes a CM type iff the type is a union of <k>-cosets
     containing one coset of each negation-paired couple; that is impossible
-    when -1 lies in <k>, and otherwise leaves 2**((p-1)/(2*ord(k))) choices.
+    when -1 lies in <k>, and otherwise leaves 2**(g/ord(k)) choices.
     """
     p = ctx.p
-    total = 0
-    for k in range(1, p):
-        subgroup = subgroup_generated(ctx, k)
-        if p - 1 in subgroup:
-            continue
-        total += 2 ** ((p - 1) // (2 * len(subgroup)))
+    orders = [element_order(ctx, k) for k in range(1, p)]
+    # -1 is the only element of order 2, so it lies in <k> iff ord(k) is even.
+    total = sum(2 ** (ctx.g // n) for n in orders if n % 2)
     if total % (p - 1):
         raise ArithmeticError(f"fixed-point total {total} not divisible by {p - 1}")
     return total // (p - 1)

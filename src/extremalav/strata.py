@@ -11,9 +11,13 @@ multiplicities (n_0, ..., n_{q-1}) of the induced analytic action:
 
 with n_i + n_{q-i} constant (= r) for i != 0 and g = n_0 + r (q-1)/2.
 
-``classification_row`` gives the verdict of an orbit class from the
-stabilizer the class already carries, so a classify run translates no CM
-type beyond the orbit sweep.
+The stabilizer is the unique subgroup of (Z/p)^* of its order, and it acts
+freely on the g members of a CM type, so the order alone fixes every stratum:
+for each prime q dividing it, theta is the smallest nontrivial q-th root of
+unity and each q-th root of unity has multiplicity g/q.  ``classification_row``
+gives the verdict of an orbit class from the stabilizer order the class
+already carries, so a classify run translates no CM type beyond the orbit
+sweep.
 """
 
 import enum
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 from .cmtypes import CmType
 from .fp import PrimeContext, element_order, is_prime
-from .orbits import OrbitClass, Stabilizer, act, stabilizer
+from .orbits import OrbitClass, act, stabilizer
 # Not called here: kept so that the layer tracer in bench/layers.py can wrap it.
 from .orbits import canonical_form  # noqa: F401
 
@@ -104,8 +108,8 @@ def stabilizer_element_profile(ctx: PrimeContext, cm: CmType, u: int) -> Spectru
     """Eigenvalue profile of a prime-order stabilizer element u acting on the members.
 
     Multiplication by u permutes the members without fixed points, so they
-    fall into m = g/q cycles of length q = ord(u) and every q-th root of
-    unity occurs with multiplicity m.
+    fall into g/q cycles of length q = ord(u) and every q-th root of unity
+    occurs with multiplicity g/q.
     """
     ctx.check_residue(u)
     if u == 1:
@@ -115,19 +119,7 @@ def stabilizer_element_profile(ctx: PrimeContext, cm: CmType, u: int) -> Spectru
     q = element_order(ctx, u)
     if not is_prime(q):
         raise ValueError(f"stabilizer element {u} has composite order {q}")
-    remaining = set(cm.members)
-    cycles = 0
-    while remaining:
-        s = next(iter(remaining))
-        length = 0
-        while s in remaining:
-            remaining.remove(s)
-            s = u * s % ctx.p
-            length += 1
-        if length != q:
-            raise ArithmeticError(f"cycle of length {length} != order {q}")
-        cycles += 1
-    return SpectrumProfile(q, (cycles,) * q)
+    return SpectrumProfile(q, (ctx.g // q,) * q)
 
 
 @dataclass(frozen=True)
@@ -154,33 +146,29 @@ def containing_strata(ctx: PrimeContext, cm: CmType) -> list[StratumReport]:
     For each q the witness theta is the smallest stabilizer element of order
     q.  Empty exactly when the class is isolated.
     """
-    return _strata(ctx, cm, stabilizer(ctx, cm))
+    return _strata(ctx, stabilizer(ctx, cm).order)
 
 
-def _strata(ctx: PrimeContext, cm: CmType, stab: Stabilizer) -> list[StratumReport]:
+def _strata(ctx: PrimeContext, order: int) -> list[StratumReport]:
+    """The strata of a class whose stabilizer has this order."""
     reports = []
-    order = stab.order
-    q = 2
-    while q <= order:
-        if order % q == 0:
-            theta = min(u for u in stab.elements if element_order(ctx, u) == q)
-            profile = stabilizer_element_profile(ctx, cm, theta)
+    for q in range(2, order + 1):
+        if order % q == 0 and is_prime(q):
+            theta = next(k for k in range(2, ctx.p) if pow(k, q, ctx.p) == 1)
+            profile = SpectrumProfile(q, (ctx.g // q,) * q)
             reports.append(StratumReport(q, theta, profile, stratum_dimension(profile)))
-        q += 1
-        while q <= order and not is_prime(q):
-            q += 1
     return reports
 
 
 def classification_row(ctx: PrimeContext, cls: OrbitClass) -> dict:
     """The classify row of an orbit class: its JSON, then the verdict.
 
-    The verdict comes from the class's own stabilizer; a trivial one has no
-    containing strata, and ``_strata`` returns at once for it.
+    The verdict comes from the class's own stabilizer order; a trivial one
+    has no containing strata, and ``_strata`` returns at once for it.
     """
-    canonical, stab = cls.canonical, cls.stabilizer
+    order = cls.stabilizer.order
     row = cls.to_json()
-    row["isolated"] = row["simple"] = stab.order == 1
-    row["sum_mod_p"] = sum(canonical.members) % ctx.p
-    row["containing_strata"] = [r.to_json() for r in _strata(ctx, canonical, stab)]
+    row["isolated"] = row["simple"] = order == 1
+    row["sum_mod_p"] = sum(cls.canonical.members) % ctx.p
+    row["containing_strata"] = [r.to_json() for r in _strata(ctx, order)]
     return row

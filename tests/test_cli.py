@@ -275,6 +275,9 @@ def test_single_document_formats_agree(capsys):
         ("spectrum", "--p", "7", "--exponents", "3,4"),
         ("spectrum", "--p", "7", "--exponents", "0,1,6"),
         ("dim", "--q", "2", "--mults", "1,1"),
+        ("stabilizer", "--p", "11", "--set", "1,2,3,4,5,5"),
+        ("polarize", "--p", "7", "--set", "1,1,2,4", "--bound", "1"),
+        ("period", "--p", "7", "--set", "1,2,3,3"),
     ],
 )
 def test_invalid_input_exits_2(capsys, argv):

@@ -33,6 +33,12 @@ def test_is_cm_type_rejects_wrong_size_and_duplicates():
     assert not is_cm_type(ctx, (1, 2, 3, 4))
     assert not is_cm_type(ctx, (1, 1, 2))
     assert not is_cm_type(ctx, (1, 2, 5))  # 2 and 5 are a conjugate pair
+    # a valid residue set listed with a repeat
+    assert not is_cm_type(ctx, (1, 1, 2, 4))
+    assert not is_cm_type(ctx, iter((1, 2, 3, 3)))
+    assert not is_cm_type(PrimeContext(11), (1, 2, 3, 4, 5, 5))
+    with pytest.raises(ValueError):
+        CmType(PrimeContext(11), (4, 5, 8, 9, 10, 10))
 
 
 def test_cm_type_sorts_members():

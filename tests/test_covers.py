@@ -190,3 +190,5 @@ def test_spectrum_class_rejects_non_cm_support():
     assert set(sp.values()) == {1}  # contains both halves of every pair
     with pytest.raises(ValueError, match="support is not a CM type"):
         spectrum_class(ctx, sp)
+    with pytest.raises(ValueError, match="support is not a CM type"):
+        spectrum_class(PrimeContext(11), (4, 5, 8, 9, 10, 10))  # repeated residue

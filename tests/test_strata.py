@@ -4,7 +4,7 @@ import pytest
 
 from extremalav.cmtypes import CmType, enumerate_cm_types
 from extremalav.fp import PrimeContext
-from extremalav.orbits import orbit_class, orbit_classes, stabilizer
+from extremalav.orbits import act, orbit_class, orbit_classes, stabilizer
 from extremalav.strata import (
     SpectrumProfile,
     SumVerdict,
@@ -184,17 +184,59 @@ def test_stabilizer_element_profile_rejects():
         stabilizer_element_profile(ctx19, qr, 4)  # order 9 is not prime
 
 
-def test_stabilizer_element_profile_flat():
-    """Prime-order stabilizer elements act freely, so every eigenvalue shows
-    up with the same multiplicity g/q (one per cycle of the action)."""
-    for p in SMALL_PRIMES + [17, 19]:
+def _order(p, k):
+    """Number of distinct powers of k mod p."""
+    return len({pow(k, e, p) for e in range(p - 1)})
+
+
+def _cycle_lengths(p, u, members):
+    """Lengths of the cycles of multiplication by u on the members."""
+    remaining = set(members)
+    lengths = []
+    while remaining:
+        s, length = min(remaining), 0
+        while s in remaining:
+            remaining.remove(s)
+            s = u * s % p
+            length += 1
+        lengths.append(length)
+    return lengths
+
+
+def test_stabilizers_and_strata_match_bruteforce():
+    """Stabilizers against the units that fix the type, and every stratum
+    against the cycles of its witness theta on the members."""
+    for p in [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]:
         ctx = PrimeContext(p)
+        orders = set()
         for cls in orbit_classes(ctx):
-            for rep in containing_strata(ctx, cls.canonical):
-                prof = rep.profile
-                assert ctx.g % prof.q == 0
-                m = ctx.g // prof.q
-                assert set(prof.multiplicities) == {m}
+            cm = cls.canonical
+            fixers = tuple(k for k in range(1, p) if act(ctx, k, cm) == cm)
+            stab = cls.stabilizer
+            assert stab.elements == fixers
+            assert stab.order == len(fixers)
+            assert stabilizer(ctx, cm) == stab
+            assert stab.generator == min(k for k in fixers if _order(p, k) == len(fixers))
+            orders.add(stab.order)
+            by_order = {}  # the smallest fixer of each order
+            for k in fixers[1:]:
+                by_order.setdefault(_order(p, k), k)
+            expected = []
+            for q in sorted(by_order):
+                if all(q % d for d in range(2, q)):
+                    theta = by_order[q]
+                    lengths = _cycle_lengths(p, theta, cm.members)
+                    assert set(lengths) == {q}
+                    expected.append((q, theta, (len(lengths),) * q))
+            reports = containing_strata(ctx, cm)
+            assert [(r.q, r.theta, r.profile.multiplicities) for r in reports] == expected
+            assert classification_row(ctx, cls)["containing_strata"] == [
+                r.to_json() for r in reports
+            ]
+            for r in reports:
+                assert stabilizer_element_profile(ctx, cm, r.theta) == r.profile
+        if p == 31:
+            assert orders == {1, 3, 5, 15}
 
 
 def test_containing_strata_examples():
