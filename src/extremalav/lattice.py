@@ -20,9 +20,10 @@ does.
 Integer computations are exact and use no rationals: every integer matrix
 (Gram matrix, symplectic basis U, induced automorphism R) is a numpy array of
 Python ints (dtype=object), exact at any size, and the matrices stored on the
-frozen dataclasses are read-only.  One integer congruence reduction yields
-both the Pfaffian and the symplectic basis, and the induced lattice
-automorphism is an integer matrix product.  Floating point enters only in the
+frozen dataclasses are read-only.  Each form is reduced by one integer
+congruence reduction, which the form keeps: it yields both the Pfaffian and
+the symplectic basis, and the induced lattice automorphism is an integer
+matrix product.  Floating point enters only in the
 polarization prescreen, whose every hit an exact Pfaffian confirms, and in
 the period matrix itself and its verification.
 """
@@ -47,7 +48,11 @@ COMPOSED_TOL = 1e-8
 
 def standard_symplectic(g: int) -> np.ndarray:
     """The 2g x 2g block matrix [[0, I], [-I, 0]]."""
-    return np.kron(np.array([[0, 1], [-1, 0]]), np.eye(g, dtype=int)).astype(object)
+    J = np.zeros((2 * g, 2 * g), dtype=object)
+    i = np.arange(g)
+    J[i, i + g] = 1
+    J[i + g, i] = -1
+    return J
 
 
 def pfaffian(E) -> int:
@@ -82,20 +87,23 @@ def _skew_reduce(E: np.ndarray) -> tuple[np.ndarray, list[int], int]:
     T = np.eye(n, dtype=object)
     pivots = []
     det_T = 1
+    rows, cols = np.triu_indices(n, 1)
     for t in range(0, n, 2):
-        rows, cols = np.triu_indices(n - t, 1)
+        keep = rows >= t
+        rows, cols = rows[keep], cols[keep]
         while True:
-            values = np.abs(G[rows + t, cols + t])
+            values = np.abs(G[rows, cols])
             nonzero = np.flatnonzero(values)
             if not nonzero.size:
                 return T, pivots + [0], det_T
             k = nonzero[np.argmin(values[nonzero])]
-            i, j = int(rows[k]) + t, int(cols[k]) + t
+            i, j = int(rows[k]), int(cols[k])
             # bring b_i, b_j to positions t, t+1, keeping the others in order:
             # (i - t) + (j - t - 1) adjacent transpositions
-            perm = [*range(t), i, j, *(m for m in range(t, n) if m not in (i, j))]
-            T, G = T[:, perm], G[np.ix_(perm, perm)]
-            det_T *= (-1) ** (i + j + 1)
+            if (i, j) != (t, t + 1):
+                perm = [*range(t), i, j, *(m for m in range(t, n) if m not in (i, j))]
+                T, G = T[:, perm], G[perm][:, perm]
+                det_T *= (-1) ** (i + j + 1)
             if G[t, t + 1] < 0:
                 T[:, t + 1] *= -1
                 G[t + 1] *= -1
@@ -105,9 +113,9 @@ def _skew_reduce(E: np.ndarray) -> tuple[np.ndarray, list[int], int]:
             # b_k += s_k b_t - r_k b_{t+1} for every k > t+1 leaves E(b_t, b_k)
             # and E(b_{t+1}, b_k) as their remainders mod d
             r, s = G[t, t + 2:] // d, G[t + 1, t + 2:] // d
-            T[:, t + 2:] += np.outer(T[:, t], s) - np.outer(T[:, t + 1], r)
-            G[:, t + 2:] += np.outer(G[:, t], s) - np.outer(G[:, t + 1], r)
-            G[t + 2:] += np.outer(s, G[t]) - np.outer(r, G[t + 1])
+            T[:, t + 2:] += T[:, t, None] * s - T[:, t + 1, None] * r
+            G[:, t + 2:] += G[:, t, None] * s - G[:, t + 1, None] * r
+            G[t + 2:] += s[:, None] * G[t] - r[:, None] * G[t + 1]
             if not G[t:t + 2, t + 2:].any():
                 break
         pivots.append(G[t, t + 1])
@@ -127,14 +135,20 @@ def symplectic_basis(E) -> np.ndarray:
     if n % 2:
         raise ValueError("skew form on odd-dimensional lattice cannot be symplectic")
     T, pivots, _ = _skew_reduce(E)
+    return _symplectic_layout(E, T, pivots, standard_symplectic(n // 2))
+
+
+def _symplectic_layout(E: np.ndarray, T: np.ndarray, pivots, J: np.ndarray) -> np.ndarray:
+    """The columns of T, a congruence reduction of E with these pivots,
+    reordered so that U^T E U == J, which is checked exactly."""
     for d in pivots:
         if d == 0:
             raise ValueError("form is degenerate: no symplectic basis")
         if d != 1:
             raise ValueError(f"elementary divisors not all 1 (pivot {d}): form is not principal")
-
+    n = len(E)
     U = T[:, np.r_[0:n:2, 1:n:2]]
-    if not np.array_equal(U.T @ E @ U, standard_symplectic(n // 2)):
+    if not np.array_equal(U.T @ E @ U, J):
         raise InternalCheckFailed("symplectic reduction failed verification")
     return U
 
@@ -178,7 +192,13 @@ def _sines(ctx: PrimeContext, cm: CmType) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PolarizationForm:
-    """An integral alternating form attached to an odd coefficient vector."""
+    """An integral alternating form attached to an odd coefficient vector.
+
+    ``reduction`` and ``pivots`` are the congruence reduction of ``gram``:
+    reduction^T gram reduction is block diagonal with blocks [[0, d], [-d, 0]],
+    d = pivots[i].  They give ``pfaffian`` and, in ``period_matrix``, the
+    symplectic basis, so each form is reduced once.
+    """
 
     ctx: PrimeContext
     cm_type: CmType
@@ -186,9 +206,12 @@ class PolarizationForm:
     gram: np.ndarray
     alpha_imag: tuple[float, ...]
     pfaffian: int
+    reduction: np.ndarray
+    pivots: tuple[int, ...]
 
     def __post_init__(self):
         self.gram.setflags(write=False)
+        self.reduction.setflags(write=False)
 
     @property
     def is_principal_positive(self) -> bool:
@@ -200,7 +223,9 @@ def build_polarization(ctx: PrimeContext, cm: CmType, c) -> PolarizationForm:
     c = tuple(int(x) for x in c)
     gram = gram_matrix(ctx, c)
     alpha_imag = 2.0 / ctx.p * (_sines(ctx, cm) @ np.array(c, dtype=np.float64))
-    return PolarizationForm(ctx, cm, c, gram, tuple(alpha_imag.tolist()), pfaffian(gram))
+    T, pivots, det_T = _skew_reduce(gram)
+    return PolarizationForm(ctx, cm, c, gram, tuple(alpha_imag.tolist()),
+                            det_T * math.prod(pivots), T, tuple(pivots))
 
 
 def find_polarization(ctx: PrimeContext, cm: CmType, bound: int = 5) -> PolarizationForm:
@@ -217,6 +242,11 @@ def find_polarization(ctx: PrimeContext, cm: CmType, bound: int = 5) -> Polariza
     coefficients, in lexicographic order) are tabled once, and each head (the
     first g - t, in the same order) shifts that table.  t is the most, at
     least 1, that gives at most 2**14 tails: memory does not grow with bound.
+    Each head compares the table with minus its shift before adding anything:
+    for finite doubles fl(a + b) > 0 exactly when a > -b, so the tails kept
+    are the same, and only they are summed and multiplied.  Each hit is built
+    once, and its congruence reduction gives both the exact Pfaffian and,
+    later, the symplectic basis.
 
     Raises ``PolarizationNotFound`` when the box is exhausted.
     """
@@ -230,9 +260,9 @@ def find_polarization(ctx: PrimeContext, cm: CmType, bound: int = 5) -> Polariza
     tails = np.indices((width,) * t).reshape(t, -1) - bound  # one column per tail
     tail_signs = sines[:, g - t:] @ tails
     for head in itertools.product(range(-bound, bound + 1), repeat=g - t):
-        signs = tail_signs + (sines[:, :g - t] @ head)[:, None]
-        positive = np.flatnonzero((signs > 0.0).all(axis=0))
-        products = signs[:, positive].prod(axis=0)
+        shift = (sines[:, :g - t] @ head)[:, None]
+        positive = np.flatnonzero((tail_signs > -shift).all(axis=0))
+        products = (tail_signs[:, positive] + shift).prod(axis=0)
         for idx in positive[np.abs(products - unit_product) < unit_product / 2]:
             form = build_polarization(ctx, cm, (*head, *tails[:, idx]))
             if abs(form.pfaffian) == 1:
@@ -257,17 +287,20 @@ def multiplication_matrix(ctx: PrimeContext) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class PeriodData:
     """A period matrix together with the exact data that produced it: the
-    symplectic basis U and the induced automorphism R = U^-1 M U."""
+    symplectic basis U with U^T E U = J, multiplication by xi as M, and the
+    induced automorphism R = U^-1 M U."""
 
     polarization: PolarizationForm
     U: np.ndarray
     R: np.ndarray
     tau: np.ndarray
     block_swapped: bool
+    J: np.ndarray
+    M: np.ndarray
 
     def __post_init__(self):
-        self.U.setflags(write=False)
-        self.R.setflags(write=False)
+        for matrix in (self.U, self.R, self.J, self.M):
+            matrix.setflags(write=False)
 
 
 def period_matrix(polarization: PolarizationForm) -> PeriodData:
@@ -282,7 +315,9 @@ def period_matrix(polarization: PolarizationForm) -> PeriodData:
     """
     ctx, cm = polarization.ctx, polarization.cm_type
     E = polarization.gram
-    U = symplectic_basis(E)
+    g = ctx.g
+    J, M = standard_symplectic(g), multiplication_matrix(ctx)
+    U = _symplectic_layout(E, polarization.reduction, polarization.pivots, J)
     violated = (f"Riemann relations violated for c = {list(polarization.c)} "
                 f"on set {list(cm.members)}")
     signs = ["+" if v > 0 else "-" for v in polarization.alpha_imag]
@@ -293,7 +328,6 @@ def period_matrix(polarization: PolarizationForm) -> PeriodData:
     block_swapped = signs[0] == "+"
     images = np.exp(2j * np.pi * np.outer(np.array(cm.members), np.arange(ctx.p - 1)) / ctx.p)
     W = images @ U.astype(np.float64)
-    g = ctx.g
     P1, P2 = W[:, :g], W[:, g:]
     try:
         tau = np.linalg.solve(P1, P2) if block_swapped else np.linalg.solve(P2, P1)
@@ -311,8 +345,8 @@ def period_matrix(polarization: PolarizationForm) -> PeriodData:
         )
     # U^T E U = J and J^-1 = -J give U^-1 = -J U^T E, so the induced
     # automorphism R = U^-1 M U is an integer product.
-    R = -standard_symplectic(g) @ U.T @ E @ multiplication_matrix(ctx) @ U
-    return PeriodData(polarization, U, R, tau, block_swapped)
+    R = -J @ U.T @ E @ M @ U
+    return PeriodData(polarization, U, R, tau, block_swapped, J, M)
 
 
 @dataclass(frozen=True)
@@ -356,8 +390,7 @@ def automorphism_check(data: PeriodData) -> AutomorphismReport:
     on the chosen basis, fixes tau, and has the prescribed eigenvalues."""
     pol = data.polarization
     p, g = pol.ctx.p, pol.ctx.g
-    E, M, R = pol.gram, multiplication_matrix(pol.ctx), data.R
-    J = standard_symplectic(g)
+    E, M, R, J = pol.gram, data.M, data.R, data.J
 
     gram_preserved = np.array_equal(M.T @ E @ M, E)
     order_p = np.array_equal(np.linalg.matrix_power(R, p), np.eye(p - 1, dtype=object))

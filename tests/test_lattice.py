@@ -18,8 +18,13 @@ import numpy as np
 import pytest
 
 import extremalav.lattice as lattice
+from extremalav import cli
 from extremalav.cmtypes import CmType, enumerate_cm_types
-from extremalav.errors import PolarizationNotFound, RiemannRelationsViolated
+from extremalav.errors import (
+    InternalCheckFailed,
+    PolarizationNotFound,
+    RiemannRelationsViolated,
+)
 from extremalav.fp import PrimeContext
 from extremalav.lattice import (
     ALGEBRAIC_TOL,
@@ -326,11 +331,14 @@ def test_find_polarization_frozen_results(p, members, c, pf, bound=1):
         (11, (1, 3, 4, 5, 9), (-3, -5, 1, 5, 5), -1),
         (13, (1, 2, 3, 4, 5, 7), (0, 1, -2, 3, -4, 5), -1),
         (13, (3, 5, 7, 9, 11, 12), (-5, -5, -5, -5, -1, 1), 1),
+        (17, (1, 2, 3, 4, 5, 6, 7, 9), (0, 2, -3, 3, -4, 5, -5, 5), -1),
+        (17, (1, 2, 3, 4, 5, 6, 8, 10), (-1, 3, -4, 4, -2, 0, 3, -5), -1),
+        (17, (1, 2, 3, 4, 5, 6, 9, 10), (-2, 5, -5, 4, -2, -1, 3, -5), 1),
     ],
 )
 def test_find_polarization_frozen_results_bound_5(p, members, c, pf):
     """At bound 5 the box splits into heads and a tail table, which no
-    bound-1 box at p <= 13 does."""
+    bound-1 box at p <= 13 does; at p = 17 there are 11**4 heads."""
     test_find_polarization_frozen_results(p, members, c, pf, bound=5)
 
 
@@ -387,10 +395,16 @@ def test_find_polarization_bad_bound():
         find_polarization(ctx, CmType(ctx, (1, 2, 3)), bound=0)
 
 
+def reduction_with_pfaffian_3(E):
+    """Stands in for the congruence reduction: pivots 3, 1, 1, ... and
+    det T = 1, so every form built from it has Pfaffian 3."""
+    return np.eye(len(E), dtype=object), [3] + [1] * (len(E) // 2 - 1), 1
+
+
 def test_find_polarization_exhausts_box(monkeypatch):
     """The exact Pfaffian decides every hit of the closed-form prescreen: with
     no candidate exactly unimodular the search must fail loudly."""
-    monkeypatch.setattr(lattice, "pfaffian", lambda E: 3)
+    monkeypatch.setattr(lattice, "_skew_reduce", reduction_with_pfaffian_3)
     ctx = PrimeContext(7)
     with pytest.raises(PolarizationNotFound, match="no polarization in box"):
         find_polarization(ctx, CmType(ctx, (1, 2, 3)), bound=1)
@@ -399,7 +413,7 @@ def test_find_polarization_exhausts_box(monkeypatch):
 def test_find_polarization_memory_does_not_grow_with_bound(monkeypatch):
     """Exhausting the box [-30, 30]^3 holds a bounded tail table, not all
     61^3 candidates at once."""
-    monkeypatch.setattr(lattice, "pfaffian", lambda E: 3)
+    monkeypatch.setattr(lattice, "_skew_reduce", reduction_with_pfaffian_3)
     ctx = PrimeContext(7)
     tracemalloc.start()
     try:
@@ -544,6 +558,20 @@ def test_mixed_signs_name_the_sign_vector():
     )
 
 
+@pytest.mark.parametrize(
+    "c,message",
+    [
+        ((3, -1, 1), "elementary divisors not all 1 (pivot 43): form is not principal"),
+        ((0, 0, 0), "form is degenerate: no symplectic basis"),
+    ],
+)
+def test_period_matrix_rejects_non_principal_form(c, message):
+    """U is laid out from the form's own reduction, whose pivots must all be 1."""
+    with pytest.raises(ValueError) as exc:
+        pipeline(7, (1, 2, 3), c)
+    assert str(exc.value) == message
+
+
 def sign_rule_cases(p, count=50):
     """``count`` random unimodular c in [-3, 3]**g, each with the CM type on
     which every Im phi_j(alpha) is positive, its complement (every one
@@ -593,9 +621,33 @@ def test_sign_rule_picks_the_block_convention(p):
         assert data.block_swapped is swapped
 
 
+def test_one_reduction_per_period_query(monkeypatch):
+    """The form keeps the congruence reduction that gave its Pfaffian, and
+    period_matrix lays out U from it instead of reducing again."""
+    reductions = []
+    real = lattice._skew_reduce
+
+    def counted(E):
+        reductions.append(E)
+        return real(E)
+
+    monkeypatch.setattr(lattice, "_skew_reduce", counted)
+    queries = 0
+    for p in (11, 13):
+        for cm in enumerate_cm_types(PrimeContext(p)):
+            queries += 1
+            try:
+                cli.run_period(p, cm.members)
+            except (InternalCheckFailed, RiemannRelationsViolated):
+                pass
+    assert queries == 96
+    assert len(reductions) == 96
+
+
 def test_exact_matrices_are_read_only():
     data = pipeline(7, (1, 2, 3), (1, -1, 1))
-    for matrix in (data.polarization.gram, data.U, data.R):
+    for matrix in (data.polarization.gram, data.polarization.reduction,
+                   data.U, data.R, data.J, data.M):
         with pytest.raises(ValueError, match="read-only"):
             matrix[0, 0] = 1
 
