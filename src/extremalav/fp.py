@@ -34,8 +34,12 @@ class PrimeContext:
         object.__setattr__(self, "g", (self.p - 1) // 2)
 
     def check_residue(self, k: int) -> int:
-        """Validate that k is a unit residue, i.e. 1 <= k <= p-1."""
-        if not isinstance(k, int) or not 1 <= k <= self.p - 1:
+        """Validate that k is a unit residue, i.e. 1 <= k <= p-1.
+
+        bool is a subclass of int, but True is not a residue: it would be
+        written back as ``true`` in JSON output.
+        """
+        if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= self.p - 1:
             raise ValueError(f"residue out of range 1..{self.p - 1}: {k!r}")
         return k
 

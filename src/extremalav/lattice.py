@@ -240,8 +240,13 @@ def find_polarization(ctx: PrimeContext, cm: CmType, bound: int = 5) -> Polariza
 
     Each s_j is linear in c, so the signs of every tail (the last t
     coefficients, in lexicographic order) are tabled once, and each head (the
-    first g - t, in the same order) shifts that table.  t is the most, at
-    least 1, that gives at most 2**14 tails: memory does not grow with bound.
+    first g - t, in the same order) shifts that table.  t is the most that
+    gives at most 2**14 tails, and at least 1: up to bound 8191 memory does
+    not grow with bound, and above it the table has width columns, one per
+    value of the last coefficient.  The tail grid is filled as floats, row i
+    broadcasting the range -bound..bound along axis i; these are the values,
+    in the order, of an integer grid, so the product with the sines needs no
+    cast and gives the same doubles.
     Each head compares the table with minus its shift before adding anything:
     for finite doubles fl(a + b) > 0 exactly when a > -b, so the tails kept
     are the same, and only they are summed and multiplied.  Each hit is built
@@ -257,7 +262,10 @@ def find_polarization(ctx: PrimeContext, cm: CmType, bound: int = 5) -> Polariza
     t = next((t for t in range(g, 1, -1) if width ** t <= 1 << 14), 1)
     sines = _sines(ctx, cm)
     unit_product = math.sqrt(p) / 2**g  # prod_j s_j when |Pf| = 1
-    tails = np.indices((width,) * t).reshape(t, -1) - bound  # one column per tail
+    tails = np.empty((t,) + (width,) * t)  # one column per tail, as floats
+    for i in range(t):
+        tails[i] = np.arange(-bound, bound + 1.0).reshape((width,) + (1,) * (t - 1 - i))
+    tails = tails.reshape(t, -1)
     tail_signs = sines[:, g - t:] @ tails
     for head in itertools.product(range(-bound, bound + 1), repeat=g - t):
         shift = (sines[:, :g - t] @ head)[:, None]
@@ -282,6 +290,13 @@ def multiplication_matrix(ctx: PrimeContext) -> np.ndarray:
     M = np.eye(ctx.p - 1, k=-1, dtype=object)
     M[:, -1] = -1
     return M
+
+
+def _times_xi(X: np.ndarray) -> np.ndarray:
+    """X @ multiplication_matrix(ctx), exactly, as a shift: column j of the
+    product is column j+1 of X, and the last is minus the row sums, since
+    xi**(p-1) = -(1 + xi + ... + xi**(p-2))."""
+    return np.concatenate((X[:, 1:], -X.sum(axis=1, keepdims=True)), axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,8 +359,10 @@ def period_matrix(polarization: PolarizationForm) -> PeriodData:
             f"{violated}: min eigenvalue of Im tau {smallest:.2g} <= {ALGEBRAIC_TOL:g}"
         )
     # U^T E U = J and J^-1 = -J give U^-1 = -J U^T E, so the induced
-    # automorphism R = U^-1 M U is an integer product.
-    R = -J @ U.T @ E @ M @ U
+    # automorphism R = U^-1 M U = -J (U^T E M) U is an integer product; the
+    # factor M is a shift and -J X is the signed block swap [-X_2; X_1].
+    X = _times_xi(U.T @ E) @ U
+    R = np.concatenate((-X[g:], X[:g]))
     return PeriodData(polarization, U, R, tau, block_swapped, J, M)
 
 
@@ -390,11 +407,12 @@ def automorphism_check(data: PeriodData) -> AutomorphismReport:
     on the chosen basis, fixes tau, and has the prescribed eigenvalues."""
     pol = data.polarization
     p, g = pol.ctx.p, pol.ctx.g
-    E, M, R, J = pol.gram, data.M, data.R, data.J
+    E, R, J = pol.gram, data.R, data.J
 
-    gram_preserved = np.array_equal(M.T @ E @ M, E)
+    # M^T E M is ((E M)^T M)^T, two shifts, and J R is the swap [R_2; -R_1].
+    gram_preserved = np.array_equal(_times_xi(_times_xi(E).T).T, E)
     order_p = np.array_equal(np.linalg.matrix_power(R, p), np.eye(p - 1, dtype=object))
-    symplectic = np.array_equal(R.T @ J @ R, J)
+    symplectic = np.array_equal(R.T @ np.concatenate((R[g:], -R[:g])), J)
 
     if data.block_swapped:
         perm = np.r_[g:2 * g, 0:g]

@@ -3,7 +3,9 @@
 Two CM types give isomorphic polarized lattices exactly when one is a
 multiplicative translate of the other, so classification happens at the level
 of orbits.  ``orbit_classes`` finds every orbit in one numpy sweep over
-indicator words; single CM types are answered from their sorted translates.
+indicator words.  A single CM type's class is read off its sorted
+translates, and its stabilizer alone from membership: the units that map
+every member back into the type.
 The orbit count is cross-checked by a Burnside (orbit-counting lemma)
 computation that never touches the enumeration: a translate-by-k fixed point
 is a union of <k>-cosets, and negation pairs those cosets up whenever -1 is
@@ -68,16 +70,16 @@ class Stabilizer:
 def stabilizer(ctx: PrimeContext, cm: CmType) -> Stabilizer:
     """Stabilizer of ``cm`` under translation, with its smallest generator.
 
-    The subgroup is cyclic, so the generator is the smallest residue whose
-    order equals the subgroup order.  -1 never stabilizes a CM type (it maps
-    the type onto its complement), so the order always divides g.
+    Its order is the number of units k that map every member into the type
+    (k is injective, so into is onto), each test stopping at the first
+    member sent outside it; no translate is built or sorted.  The subgroup
+    is cyclic, so the generator is the smallest residue whose order equals
+    the subgroup order.  -1 never stabilizes a CM type (it maps the type
+    onto its complement), so the order always divides g.
     """
-    return _stabilizer(ctx, _translates(ctx, cm.members))
-
-
-def _stabilizer(ctx: PrimeContext, translates) -> Stabilizer:
-    """The stabilizer read off the translates of one CM type by k = 1..p-1."""
-    return _subgroup(ctx, translates.count(translates[0]))
+    p, members = ctx.p, cm.members
+    fixed = frozenset(members)
+    return _subgroup(ctx, sum(all(k * s % p in fixed for s in members) for k in range(1, p)))
 
 
 def _subgroup(ctx: PrimeContext, order: int) -> Stabilizer:
@@ -111,7 +113,7 @@ def orbit_class(ctx: PrimeContext, cm: CmType) -> OrbitClass:
     ``cm``.
     """
     translates = _translates(ctx, cm.members)
-    stab = _stabilizer(ctx, translates)
+    stab = _subgroup(ctx, translates.count(translates[0]))
     return OrbitClass(CmType(ctx, min(translates)), (ctx.p - 1) // stab.order, stab)
 
 

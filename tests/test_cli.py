@@ -91,6 +91,12 @@ def test_stabilizer_document(capsys):
     }
 
 
+def test_stabilizer_rejects_bool_residues():
+    # True passes as the residue 1, and its JSON would read "set": [true, 2, 4].
+    with pytest.raises(ValueError, match="residue out of range"):
+        cli.run_stabilizer(7, (True, 2, 4))
+
+
 def test_dim_document(capsys):
     code, out, _ = run(capsys, "dim", "--q", "5", "--mults", "1,1,1,1,1")
     assert code == 0

@@ -48,7 +48,7 @@ def test_cm_type_sorts_members():
 
 def test_cm_type_rejects_invalid():
     ctx = PrimeContext(7)
-    for bad in [(1, 2, 5), (1, 2), (0, 1, 2), (1, 6, 3)]:
+    for bad in [(1, 2, 5), (1, 2), (0, 1, 2), (1, 6, 3), (True, 2, 3)]:
         with pytest.raises(ValueError):
             CmType(ctx, bad)
 

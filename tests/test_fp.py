@@ -32,7 +32,7 @@ def test_check_residue():
     ctx = PrimeContext(11)
     assert ctx.check_residue(1) == 1
     assert ctx.check_residue(10) == 10
-    for bad in (0, 11, -1, 12):
+    for bad in (0, 11, -1, 12, True, False):
         with pytest.raises(ValueError):
             ctx.check_residue(bad)
 

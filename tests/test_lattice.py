@@ -7,6 +7,7 @@ alternating form against the field trace evaluated with complex arithmetic.
 """
 
 import cmath
+import dataclasses
 import itertools
 import json
 import math
@@ -493,6 +494,45 @@ def test_multiplication_preserves_form():
         M = multiplication_matrix(ctx)
         E = gram_matrix(ctx, c)
         assert matmul(transpose(M), matmul(E, M)) == E.tolist()
+
+
+@pytest.mark.parametrize("p", [3, 7, 13, 17])
+def test_times_xi_is_the_multiplication_matrix(p):
+    """The shift equals the product with M exactly, entries beyond 2**63 too."""
+    M = multiplication_matrix(PrimeContext(p))
+    for rows in (1, p - 1, 2 * p):
+        X = np.array([[rng.randint(-2**70, 2**70) for _ in range(p - 1)] for _ in range(rows)],
+                     dtype=object)
+        shifted = lattice._times_xi(X)
+        assert shifted.dtype == object
+        assert np.array_equal(shifted, X @ M)
+        assert shifted.tolist() == matmul(X.tolist(), M.tolist())
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_exact_checks_fail_on_tampered_input(p):
+    """The shift and the block swap still judge the data: an R with two rows
+    swapped fails Rp or symplectic, and a skew form that multiplication by xi
+    does not preserve fails MEM."""
+    ctx = PrimeContext(p)
+    data = pipeline(p, orbit_classes(ctx)[0].canonical.members, bound=1)
+    assert automorphism_check(data).all_ok
+
+    R = data.R.copy()
+    R[[0, 1]] = R[[1, 0]]
+    report = automorphism_check(dataclasses.replace(data, R=R))
+    assert report.gram_preserved
+    assert not (report.order_p and report.symplectic)
+
+    E = data.polarization.gram.copy()
+    E[0, 1] += 1
+    E[1, 0] -= 1
+    M = multiplication_matrix(ctx).tolist()
+    assert matmul(transpose(M), matmul(E.tolist(), M)) != E.tolist()
+    tampered = dataclasses.replace(data, polarization=dataclasses.replace(data.polarization, gram=E))
+    report = automorphism_check(tampered)
+    assert not report.gram_preserved
+    assert report.order_p and report.symplectic
 
 
 # ---------------------------------------------------------------------------

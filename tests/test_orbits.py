@@ -178,6 +178,43 @@ def test_orbit_class_of_a_translate():
         2, (1, 3, 4, 5, 9), 3)
 
 
+def _coset_union(p, n, rng):
+    """A CM type that is a union of cosets of the order-n subgroup, n odd:
+    one coset from each pair {rH, -rH}, so it is fixed by all of H."""
+    H = [x for x in range(1, p) if pow(x, n, p) == 1]
+    members, seen = set(), set()
+    for r in range(1, p):
+        if r not in seen:
+            coset = {r * x % p for x in H}
+            seen |= coset | {p - y for y in coset}
+            members |= coset if rng.random() < 0.5 else {p - y for y in coset}
+    return tuple(members)
+
+
+@pytest.mark.parametrize("p", [29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101])
+def test_stabilizer_of_any_type_matches_bruteforce(p):
+    """Seeded types, not only canonical ones: random types and translates of
+    unions of cosets of every odd-order subgroup (nontrivial stabilizers),
+    against the units that fix them through ``act``."""
+    ctx = PrimeContext(p)
+    g = ctx.g
+    rng = random.Random(p)
+    types = [tuple(k if rng.random() < 0.5 else p - k for k in range(1, g + 1)) for _ in range(4)]
+    types += [_coset_union(p, n, rng) for n in range(3, g + 1, 2) if g % n == 0]
+    canonical = 0
+    for members in types:
+        cm = act(ctx, rng.randrange(1, p), CmType(ctx, members))
+        canonical += cm == canonical_form(ctx, cm)
+        fixers = tuple(k for k in range(1, p) if act(ctx, k, cm) == cm)
+        stab = stabilizer(ctx, cm)
+        assert stab.elements == fixers
+        assert stab.order == len(fixers)
+        assert stab.generator == min(k for k in fixers if element_order(ctx, k) == len(fixers))
+        assert orbit_class(ctx, cm).stabilizer == stab
+    assert canonical < len(types)
+    assert max(stabilizer(ctx, CmType(ctx, m)).order for m in types) > 1
+
+
 @pytest.mark.parametrize("p", SMALL_PRIMES)
 def test_closed_form_fixed_counts_against_enumeration(p):
     """The averaged fixed-point counts must reproduce the enumerated ones."""
