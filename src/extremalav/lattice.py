@@ -62,6 +62,12 @@ def pfaffian(E) -> int:
     unimodular T, and Pf(T^T E T) = det T * Pf(E) with det T = +-1, so the
     Pfaffian is det T times the product of the d's.
     """
+    _, pivots, det_T = _skew_reduce(_even_skew(E))
+    return det_T * math.prod(pivots)
+
+
+def _even_skew(E) -> np.ndarray:
+    """E as an object array, checked to be square, even-sized and skew."""
     E = np.asarray(E, dtype=object)
     if E.ndim != 2 or E.shape[0] != E.shape[1]:
         raise ValueError("pfaffian needs a square matrix")
@@ -69,8 +75,7 @@ def pfaffian(E) -> int:
         raise ValueError("pfaffian undefined for odd dimension")
     if not np.array_equal(E, -E.T):
         raise ValueError("pfaffian needs a skew-symmetric matrix")
-    _, pivots, det_T = _skew_reduce(E)
-    return det_T * math.prod(pivots)
+    return E
 
 
 def _skew_reduce(E: np.ndarray) -> tuple[np.ndarray, list[int], int]:
@@ -127,20 +132,18 @@ def symplectic_basis(E) -> np.ndarray:
 
     E must be an integer skew-symmetric matrix with Pfaffian +-1.  Reorders
     the basis from the congruence reduction into the [[0, I], [-I, 0]] block
-    layout.  Raises ValueError when the form is degenerate or an elementary
-    divisor exceeds 1 (the form is not principal).
+    layout.  Raises ValueError when E is not a square, even-sized skew
+    matrix, is degenerate, or has an elementary divisor above 1 (the form is
+    not principal).
     """
-    E = np.asarray(E, dtype=object)
-    n = len(E)
-    if n % 2:
-        raise ValueError("skew form on odd-dimensional lattice cannot be symplectic")
+    E = _even_skew(E)
     T, pivots, _ = _skew_reduce(E)
-    return _symplectic_layout(E, T, pivots, standard_symplectic(n // 2))
+    return _symplectic_layout(E, T, pivots)
 
 
-def _symplectic_layout(E: np.ndarray, T: np.ndarray, pivots, J: np.ndarray) -> np.ndarray:
+def _symplectic_layout(E: np.ndarray, T: np.ndarray, pivots) -> np.ndarray:
     """The columns of T, a congruence reduction of E with these pivots,
-    reordered so that U^T E U == J, which is checked exactly."""
+    reordered so that U^T E U == standard_symplectic(g), checked exactly."""
     for d in pivots:
         if d == 0:
             raise ValueError("form is degenerate: no symplectic basis")
@@ -148,7 +151,7 @@ def _symplectic_layout(E: np.ndarray, T: np.ndarray, pivots, J: np.ndarray) -> n
             raise ValueError(f"elementary divisors not all 1 (pivot {d}): form is not principal")
     n = len(E)
     U = T[:, np.r_[0:n:2, 1:n:2]]
-    if not np.array_equal(U.T @ E @ U, J):
+    if not np.array_equal(U.T @ E @ U, standard_symplectic(n // 2)):
         raise InternalCheckFailed("symplectic reduction failed verification")
     return U
 
@@ -302,19 +305,17 @@ def _times_xi(X: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class PeriodData:
     """A period matrix together with the exact data that produced it: the
-    symplectic basis U with U^T E U = J, multiplication by xi as M, and the
-    induced automorphism R = U^-1 M U."""
+    symplectic basis U with U^T E U = ``standard_symplectic(g)`` and the
+    induced automorphism R = U^-1 M U, M = ``multiplication_matrix(ctx)``."""
 
     polarization: PolarizationForm
     U: np.ndarray
     R: np.ndarray
     tau: np.ndarray
     block_swapped: bool
-    J: np.ndarray
-    M: np.ndarray
 
     def __post_init__(self):
-        for matrix in (self.U, self.R, self.J, self.M):
+        for matrix in (self.U, self.R):
             matrix.setflags(write=False)
 
 
@@ -331,8 +332,7 @@ def period_matrix(polarization: PolarizationForm) -> PeriodData:
     ctx, cm = polarization.ctx, polarization.cm_type
     E = polarization.gram
     g = ctx.g
-    J, M = standard_symplectic(g), multiplication_matrix(ctx)
-    U = _symplectic_layout(E, polarization.reduction, polarization.pivots, J)
+    U = _symplectic_layout(E, polarization.reduction, polarization.pivots)
     violated = (f"Riemann relations violated for c = {list(polarization.c)} "
                 f"on set {list(cm.members)}")
     signs = ["+" if v > 0 else "-" for v in polarization.alpha_imag]
@@ -363,7 +363,7 @@ def period_matrix(polarization: PolarizationForm) -> PeriodData:
     # factor M is a shift and -J X is the signed block swap [-X_2; X_1].
     X = _times_xi(U.T @ E) @ U
     R = np.concatenate((-X[g:], X[:g]))
-    return PeriodData(polarization, U, R, tau, block_swapped, J, M)
+    return PeriodData(polarization, U, R, tau, block_swapped)
 
 
 @dataclass(frozen=True)
@@ -407,12 +407,12 @@ def automorphism_check(data: PeriodData) -> AutomorphismReport:
     on the chosen basis, fixes tau, and has the prescribed eigenvalues."""
     pol = data.polarization
     p, g = pol.ctx.p, pol.ctx.g
-    E, R, J = pol.gram, data.R, data.J
+    E, R = pol.gram, data.R
 
     # M^T E M is ((E M)^T M)^T, two shifts, and J R is the swap [R_2; -R_1].
     gram_preserved = np.array_equal(_times_xi(_times_xi(E).T).T, E)
     order_p = np.array_equal(np.linalg.matrix_power(R, p), np.eye(p - 1, dtype=object))
-    symplectic = np.array_equal(R.T @ np.concatenate((R[g:], -R[:g])), J)
+    symplectic = np.array_equal(R.T @ np.concatenate((R[g:], -R[:g])), standard_symplectic(g))
 
     if data.block_swapped:
         perm = np.r_[g:2 * g, 0:g]

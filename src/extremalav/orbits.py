@@ -3,9 +3,9 @@
 Two CM types give isomorphic polarized lattices exactly when one is a
 multiplicative translate of the other, so classification happens at the level
 of orbits.  ``orbit_classes`` finds every orbit in one numpy sweep over
-indicator words.  A single CM type's class is read off its sorted
-translates, and its stabilizer alone from membership: the units that map
-every member back into the type.
+indicator words.  A single CM type's class, and with it its canonical form,
+is read off its sorted translates by ``orbit_class``, and its stabilizer
+alone from membership: the units that map every member back into the type.
 The orbit count is cross-checked by a Burnside (orbit-counting lemma)
 computation that never touches the enumeration: a translate-by-k fixed point
 is a union of <k>-cosets, and negation pairs those cosets up whenever -1 is
@@ -37,18 +37,12 @@ def act(ctx: PrimeContext, k: int, cm: CmType) -> CmType:
     return CmType(ctx, tuple(k * s % ctx.p for s in cm.members))
 
 
-def _translates(ctx: PrimeContext, members) -> list[tuple[int, ...]]:
-    """The sorted translates k*members mod p, for k = 1..p-1 in that order."""
-    p = ctx.p
-    return [tuple(sorted(k * s % p for s in members)) for k in range(1, p)]
-
-
 def canonical_form(ctx: PrimeContext, cm: CmType) -> CmType:
-    """The lexicographically smallest translate of ``cm``.
+    """The lexicographically smallest translate of ``cm``, via ``orbit_class``.
 
     Orbit-constant by construction, hence a canonical orbit representative.
     """
-    return CmType(ctx, min(_translates(ctx, cm.members)))
+    return orbit_class(ctx, cm).canonical
 
 
 @dataclass(frozen=True)
@@ -107,14 +101,17 @@ class OrbitClass:
 
 
 def orbit_class(ctx: PrimeContext, cm: CmType) -> OrbitClass:
-    """The class of ``cm``, read off its translates by k = 1..p-1.
+    """The class of ``cm``, read off its sorted translates by k = 1..p-1:
+    the smallest is the canonical form, and those equal to ``cm`` count the
+    stabilizer.
 
     The group is abelian, so every member of the orbit has the stabilizer of
     ``cm``.
     """
-    translates = _translates(ctx, cm.members)
+    p = ctx.p
+    translates = [tuple(sorted(k * s % p for s in cm.members)) for k in range(1, p)]
     stab = _subgroup(ctx, translates.count(translates[0]))
-    return OrbitClass(CmType(ctx, min(translates)), (ctx.p - 1) // stab.order, stab)
+    return OrbitClass(CmType(ctx, min(translates)), (p - 1) // stab.order, stab)
 
 
 def _byte_tables(targets: list[int]) -> np.ndarray:

@@ -49,7 +49,7 @@ class SpectrumProfile:
             raise ValueError(f"inconsistent spectrum: q = {self.q} is not prime")
         if self.q == 2:
             raise ValueError("inconsistent spectrum: q = 2 is not an odd prime")
-        if len(n) != self.q or any(m < 0 or not isinstance(m, int) for m in n):
+        if len(n) != self.q or any(not isinstance(m, int) or isinstance(m, bool) or m < 0 for m in n):
             raise ValueError(f"inconsistent spectrum: need {self.q} multiplicities >= 0")
         pair_sums = {n[i] + n[self.q - i] for i in range(1, (self.q + 1) // 2)}
         if len(pair_sums) > 1:

@@ -235,6 +235,14 @@ def test_symplectic_basis_rejects_degenerate_and_odd():
         symplectic_basis([[0, 0], [0, 0]])
     with pytest.raises(ValueError):
         symplectic_basis([[0]])
+    # A malformed input is a ValueError (exit 2), as for pfaffian, not a
+    # failed internal check or a numpy error.
+    for E in ([[0, 1], [1, 0]],          # symmetric
+              [[1, 1], [-1, 0]],         # nonzero diagonal
+              [[0, 1, 0], [-1, 0, 0]],   # not square
+              [[0, 1], [-1]]):           # ragged
+        with pytest.raises(ValueError, match="^pfaffian needs a"):
+            symplectic_basis(E)
 
 
 # ---------------------------------------------------------------------------
@@ -661,17 +669,16 @@ def test_sign_rule_picks_the_block_convention(p):
         assert data.block_swapped is swapped
 
 
-def test_one_reduction_per_period_query(monkeypatch):
-    """The form keeps the congruence reduction that gave its Pfaffian, and
-    period_matrix lays out U from it instead of reducing again."""
-    reductions = []
-    real = lattice._skew_reduce
+def count_calls_over_period_queries(monkeypatch, name) -> int:
+    """Calls of ``lattice.<name>`` over the 96 period queries at p = 11, 13."""
+    calls = []
+    real = getattr(lattice, name)
 
-    def counted(E):
-        reductions.append(E)
-        return real(E)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(lattice, "_skew_reduce", counted)
+    monkeypatch.setattr(lattice, name, counted)
     queries = 0
     for p in (11, 13):
         for cm in enumerate_cm_types(PrimeContext(p)):
@@ -681,13 +688,25 @@ def test_one_reduction_per_period_query(monkeypatch):
             except (InternalCheckFailed, RiemannRelationsViolated):
                 pass
     assert queries == 96
-    assert len(reductions) == 96
+    return len(calls)
+
+
+def test_one_reduction_per_period_query(monkeypatch):
+    """The form keeps the congruence reduction that gave its Pfaffian, and
+    period_matrix lays out U from it instead of reducing again."""
+    assert count_calls_over_period_queries(monkeypatch, "_skew_reduce") == 96
+
+
+def test_period_query_builds_no_multiplication_matrix(monkeypatch):
+    """Multiplication by xi is applied as a shift; the (p-1)^2 matrix is
+    library API and a test oracle only."""
+    assert count_calls_over_period_queries(monkeypatch, "multiplication_matrix") == 0
 
 
 def test_exact_matrices_are_read_only():
     data = pipeline(7, (1, 2, 3), (1, -1, 1))
     for matrix in (data.polarization.gram, data.polarization.reduction,
-                   data.U, data.R, data.J, data.M):
+                   data.U, data.R):
         with pytest.raises(ValueError, match="read-only"):
             matrix[0, 0] = 1
 

@@ -43,6 +43,7 @@ def test_profile_accepts_lists():
         (3, (0, -1, 1)),       # negative entry
         (5, (0, 1, 2, 2, 2)),  # n1+n4 = 3 but n2+n3 = 4
         (2, (1, 1)),           # q = 2: the -1 eigenspace is real
+        (3, (True, 1, 1)),     # bool entry: would be written back as true
     ],
 )
 def test_profile_rejects_malformed(q, mults):
