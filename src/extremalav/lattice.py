@@ -23,13 +23,16 @@ Python ints (dtype=object), exact at any size, and the matrices stored on the
 frozen dataclasses are read-only.  Each form is reduced by one integer
 congruence reduction, which the form keeps: it yields both the Pfaffian and
 the symplectic basis, and the induced lattice automorphism is an integer
-matrix product.  Floating point enters only in the
-polarization prescreen, whose every hit an exact Pfaffian confirms, and in
-the period matrix itself and its verification.
+matrix product.  Products and the reduction run in int64 only while a bound
+on their entries proves that no partial sum leaves its range, and on Python
+ints otherwise.  Floating point enters only in the polarization prescreen
+(the head skip and the sign compare), whose every hit an exact Pfaffian
+confirms, and in the period matrix itself and its verification.
 """
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +46,7 @@ COMPOSED_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
-# exact integer linear algebra on object arrays
+# exact integer linear algebra
 
 
 def standard_symplectic(g: int) -> np.ndarray:
@@ -62,20 +65,52 @@ def pfaffian(E) -> int:
     unimodular T, and Pf(T^T E T) = det T * Pf(E) with det T = +-1, so the
     Pfaffian is det T times the product of the d's.
     """
-    _, pivots, det_T = _skew_reduce(_even_skew(E))
+    _, pivots, det_T = _skew_reduce(_even_skew(E, "pfaffian"))
     return det_T * math.prod(pivots)
 
 
-def _even_skew(E) -> np.ndarray:
-    """E as an object array, checked to be square, even-sized and skew."""
+def _even_skew(E, caller: str) -> np.ndarray:
+    """E as an object array of Python ints, checked to be square,
+    even-sized, skew and integral; the messages name the public function
+    that was called."""
     E = np.asarray(E, dtype=object)
     if E.ndim != 2 or E.shape[0] != E.shape[1]:
-        raise ValueError("pfaffian needs a square matrix")
+        raise ValueError(f"{caller} needs a square matrix")
     if len(E) % 2:
-        raise ValueError("pfaffian undefined for odd dimension")
+        raise ValueError(f"{caller} undefined for odd dimension")
     if not np.array_equal(E, -E.T):
-        raise ValueError("pfaffian needs a skew-symmetric matrix")
-    return E
+        raise ValueError(f"{caller} needs a skew-symmetric matrix")
+    if not all(isinstance(x, numbers.Integral) for x in E.flat):
+        raise ValueError(f"{caller} needs an integer matrix")
+    return np.frompyfunc(int, 1, 1)(E)  # numpy integer entries would wrap
+
+
+def _max_abs(X: np.ndarray) -> int:
+    return int(np.abs(X).max(initial=0))
+
+
+def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B for integer matrices, exactly.
+
+    Every partial sum of an n-term dot product is at most n * max|A| * max|B|
+    in absolute value, so below 2**63 the product runs in int64 and returns
+    int64; otherwise it runs on Python ints and returns an object array.
+    """
+    if A.shape[1] * max(_max_abs(A), 1) * max(_max_abs(B), 1) < 1 << 63:
+        return A.astype(np.int64) @ B.astype(np.int64)
+    return A.astype(object) @ B.astype(object)
+
+
+def _power(R: np.ndarray, e: int) -> np.ndarray:
+    """R**e, e >= 0, by repeated squaring through ``_matmul``."""
+    result = np.eye(len(R), dtype=np.int64)
+    while e:
+        if e & 1:
+            result = _matmul(result, R)
+        e >>= 1
+        if e:
+            R = _matmul(R, R)
+    return result
 
 
 def _skew_reduce(E: np.ndarray) -> tuple[np.ndarray, list[int], int]:
@@ -86,45 +121,53 @@ def _skew_reduce(E: np.ndarray) -> tuple[np.ndarray, list[int], int]:
     Each step moves a minimal nonzero entry (the least (|v|, i, j), i < j)
     into pivot position, clears its row pair by Euclidean steps, and splits
     off the plane.  A degenerate form ends the pivot list with a 0.
+
+    G = T^T E T and T share one working array A = [G; T]: a column operation
+    acts on both, a row operation on G only.  It starts in int64 when
+    max|E| < 2**31.  A clearing step with quotients q = (r; s) takes no
+    entry beyond max|A| * (1 + 2 max|q|)**2, so as soon as that bound reaches
+    2**62 the rest of the run is on Python ints.  T is returned as a
+    fresh object array of Python ints, and the pivots as Python ints.
     """
     n = len(E)
-    G = E.copy()
-    T = np.eye(n, dtype=object)
+    dtype = np.int64 if _max_abs(E) < 1 << 31 else object
+    A = np.concatenate((E.astype(dtype), np.eye(n, dtype=dtype)))
     pivots = []
     det_T = 1
-    rows, cols = np.triu_indices(n, 1)
+    rows, cols = np.nonzero(np.arange(n)[:, None] < np.arange(n))  # i < j, row-major
     for t in range(0, n, 2):
         keep = rows >= t
         rows, cols = rows[keep], cols[keep]
         while True:
-            values = np.abs(G[rows, cols])
+            values = np.abs(A[rows, cols])
             nonzero = np.flatnonzero(values)
             if not nonzero.size:
-                return T, pivots + [0], det_T
+                return A[n:].astype(object), pivots + [0], det_T
             k = nonzero[np.argmin(values[nonzero])]
             i, j = int(rows[k]), int(cols[k])
             # bring b_i, b_j to positions t, t+1, keeping the others in order:
             # (i - t) + (j - t - 1) adjacent transpositions
             if (i, j) != (t, t + 1):
                 perm = [*range(t), i, j, *(m for m in range(t, n) if m not in (i, j))]
-                T, G = T[:, perm], G[perm][:, perm]
+                A = A[:, perm][[*perm, *range(n, 2 * n)]]
                 det_T *= (-1) ** (i + j + 1)
-            if G[t, t + 1] < 0:
-                T[:, t + 1] *= -1
-                G[t + 1] *= -1
-                G[:, t + 1] *= -1
+            if A[t, t + 1] < 0:
+                A[:, t + 1] *= -1
+                A[t + 1] *= -1
                 det_T = -det_T
-            d = G[t, t + 1]
+            d = A[t, t + 1]
             # b_k += s_k b_t - r_k b_{t+1} for every k > t+1 leaves E(b_t, b_k)
             # and E(b_{t+1}, b_k) as their remainders mod d
-            r, s = G[t, t + 2:] // d, G[t + 1, t + 2:] // d
-            T[:, t + 2:] += T[:, t, None] * s - T[:, t + 1, None] * r
-            G[:, t + 2:] += G[:, t, None] * s - G[:, t + 1, None] * r
-            G[t + 2:] += s[:, None] * G[t] - r[:, None] * G[t + 1]
-            if not G[t:t + 2, t + 2:].any():
+            q = A[t:t + 2, t + 2:n] // d
+            if A.dtype != object and _max_abs(A) * (1 + 2 * _max_abs(q)) ** 2 >= 1 << 62:
+                A, q = A.astype(object), q.astype(object)
+            r, s = q
+            A[:, t + 2:] += A[:, t, None] * s - A[:, t + 1, None] * r
+            A[t + 2:n] += s[:, None] * A[t] - r[:, None] * A[t + 1]
+            if not A[t:t + 2, t + 2:n].any():
                 break
-        pivots.append(G[t, t + 1])
-    return T, pivots, det_T
+        pivots.append(int(A[t, t + 1]))
+    return A[n:].astype(object), pivots, det_T
 
 
 def symplectic_basis(E) -> np.ndarray:
@@ -136,7 +179,7 @@ def symplectic_basis(E) -> np.ndarray:
     matrix, is degenerate, or has an elementary divisor above 1 (the form is
     not principal).
     """
-    E = _even_skew(E)
+    E = _even_skew(E, "symplectic_basis")
     T, pivots, _ = _skew_reduce(E)
     return _symplectic_layout(E, T, pivots)
 
@@ -151,7 +194,7 @@ def _symplectic_layout(E: np.ndarray, T: np.ndarray, pivots) -> np.ndarray:
             raise ValueError(f"elementary divisors not all 1 (pivot {d}): form is not principal")
     n = len(E)
     U = T[:, np.r_[0:n:2, 1:n:2]]
-    if not np.array_equal(U.T @ E @ U, standard_symplectic(n // 2)):
+    if not np.array_equal(_matmul(_matmul(U.T, E), U), standard_symplectic(n // 2)):
         raise InternalCheckFailed("symplectic reduction failed verification")
     return U
 
@@ -191,6 +234,47 @@ def gram_matrix(ctx: PrimeContext, c) -> np.ndarray:
 def _sines(ctx: PrimeContext, cm: CmType) -> np.ndarray:
     """sin(2 pi j k / p), one row per member j of the CM type, k = 1..g."""
     return np.sin(2 * np.pi * np.outer(cm.members, np.arange(1, ctx.g + 1)) / ctx.p)
+
+
+def _weights(g: int) -> np.ndarray:
+    """0/1 weight rows over g embeddings: every nonempty set of at most k of
+    them, k the largest size that keeps the count at most 2**14 (the cap of
+    the tail table), so all 2**g - 1 sets when g <= 14."""
+    counts = itertools.accumulate(math.comb(g, size) for size in range(1, g + 1))
+    k = sum(count <= 1 << 14 for count in counts)
+    if k == g:
+        masks = np.arange(1, 1 << g)
+    else:
+        masks = np.array([sum(1 << i for i in members) for size in range(1, k + 1)
+                          for members in itertools.combinations(range(g), size)])
+    return (masks[:, None] >> np.arange(g) & 1).astype(np.float64)
+
+
+def _live_heads(sines: np.ndarray, t: int, bound: int):
+    """Yield each head (the first g - t coefficients, in lexicographic order)
+    that some tail in the box may make positive on every embedding, with its
+    shift ``sines[:, :g - t] @ head`` as a column.
+
+    For a weight row w >= 0 of ``_weights``, w . (shift + tail signs) is at
+    most w . shift + reach_w, where reach_w = bound * sum_k |(w . tail
+    sines)_k| is the maximum of w . (tail signs) over the box.  When
+    w . shift + reach_w < -margin_w for some w, every tail leaves a sign
+    negative (the easy half of Farkas' lemma), and the head is skipped.
+    Every |sin| is at most 1, so |w . signs| <= bound * g * |w|_1 for each c
+    in the box, and both sides round by a few units of 2**-52 times that.
+    margin_w = 1e-9 * (1 + bound * g * |w|_1) is far above it, so every
+    tail of a skipped head also fails the float compare in
+    ``find_polarization``.
+    """
+    g = len(sines)
+    weights = _weights(g)
+    weighted = weights @ sines
+    head_weights = weighted[:, :g - t]
+    floor = (-bound * np.abs(weighted[:, g - t:]).sum(axis=1)
+             - 1e-9 * (1 + bound * g * weights.sum(axis=1)))
+    for head in itertools.product(range(-bound, bound + 1), repeat=g - t):
+        if (head_weights @ head >= floor).all():
+            yield head, (sines[:, :g - t] @ head)[:, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,8 +334,12 @@ def find_polarization(ctx: PrimeContext, cm: CmType, bound: int = 5) -> Polariza
     broadcasting the range -bound..bound along axis i; these are the values,
     in the order, of an integer grid, so the product with the sines needs no
     cast and gives the same doubles.
-    Each head compares the table with minus its shift before adding anything:
-    for finite doubles fl(a + b) > 0 exactly when a > -b, so the tails kept
+    A head that no tail can make positive on every embedding is skipped
+    before any compare (``_live_heads``: a weighted sum of the signs stays
+    negative over the whole tail box); every tail of a skipped head would
+    fail the compare too, so the winner is the same.  Each other head
+    compares the table with minus its shift before adding anything: for
+    finite doubles fl(a + b) > 0 exactly when a > -b, so the tails kept
     are the same, and only they are summed and multiplied.  Each hit is built
     once, and its congruence reduction gives both the exact Pfaffian and,
     later, the symplectic basis.
@@ -270,8 +358,7 @@ def find_polarization(ctx: PrimeContext, cm: CmType, bound: int = 5) -> Polariza
         tails[i] = np.arange(-bound, bound + 1.0).reshape((width,) + (1,) * (t - 1 - i))
     tails = tails.reshape(t, -1)
     tail_signs = sines[:, g - t:] @ tails
-    for head in itertools.product(range(-bound, bound + 1), repeat=g - t):
-        shift = (sines[:, :g - t] @ head)[:, None]
+    for head, shift in _live_heads(sines, t, bound):
         positive = np.flatnonzero((tail_signs > -shift).all(axis=0))
         products = (tail_signs[:, positive] + shift).prod(axis=0)
         for idx in positive[np.abs(products - unit_product) < unit_product / 2]:
@@ -360,9 +447,10 @@ def period_matrix(polarization: PolarizationForm) -> PeriodData:
         )
     # U^T E U = J and J^-1 = -J give U^-1 = -J U^T E, so the induced
     # automorphism R = U^-1 M U = -J (U^T E M) U is an integer product; the
-    # factor M is a shift and -J X is the signed block swap [-X_2; X_1].
-    X = _times_xi(U.T @ E) @ U
-    R = np.concatenate((-X[g:], X[:g]))
+    # factor M is a shift, applied to E itself because its row sums are not
+    # guarded against int64, and -J X is the signed block swap [-X_2; X_1].
+    X = _matmul(_matmul(U.T, _times_xi(E)), U)
+    R = np.concatenate((-X[g:], X[:g])).astype(object)
     return PeriodData(polarization, U, R, tau, block_swapped)
 
 
@@ -411,8 +499,9 @@ def automorphism_check(data: PeriodData) -> AutomorphismReport:
 
     # M^T E M is ((E M)^T M)^T, two shifts, and J R is the swap [R_2; -R_1].
     gram_preserved = np.array_equal(_times_xi(_times_xi(E).T).T, E)
-    order_p = np.array_equal(np.linalg.matrix_power(R, p), np.eye(p - 1, dtype=object))
-    symplectic = np.array_equal(R.T @ np.concatenate((R[g:], -R[:g])), standard_symplectic(g))
+    order_p = np.array_equal(_power(R, p), np.eye(p - 1, dtype=object))
+    symplectic = np.array_equal(_matmul(R.T, np.concatenate((R[g:], -R[:g]))),
+                                standard_symplectic(g))
 
     if data.block_swapped:
         perm = np.r_[g:2 * g, 0:g]

@@ -356,6 +356,16 @@ def test_failed_check_names_measured_error(capsys):
     assert re.search(r"fixes_tau error \d\.?\d*e-\d+ >= 1e-08", err)
 
 
+def test_classify_p17_with_lattice_stops_at_a_failed_check(capsys):
+    """The first p = 17 class whose witness fails the tau gate, a numerical
+    false negative of the badly conditioned basis (ROADMAP item 2)."""
+    code, out, err = run(capsys, "classify", "--p", "17", "--with-lattice")
+    assert code == 5
+    assert out == ""
+    assert err == ("error: automorphism checks failed for set [1, 2, 3, 4, 5, 8, 10, 11]: "
+                   "fixes_tau error 1.6e-07 >= 1e-08\n")
+
+
 def test_riemann_violation_names_measured_eigenvalue(capsys):
     """This set fails only through the conditioning of its symplectic basis;
     ROADMAP item 3 (lattice reduction) retires it, and then this test."""

@@ -156,6 +156,16 @@ def test_pfaffian_rejects_bad_input():
         pfaffian([[0, 1], [-1]])  # ragged
     with pytest.raises(ValueError, match="pfaffian needs a square matrix"):
         pfaffian([[0, 1, 2], [-1, 0, 3]])  # not square
+    with pytest.raises(ValueError, match="pfaffian needs an integer matrix"):
+        pfaffian([[0, 1.5], [-1.5, 0]])  # would be truncated by an int64 cast
+
+
+def test_pfaffian_exact_on_numpy_integer_entries():
+    """Entries given as numpy int64 scalars are read as Python ints, so the
+    reduction of a form with entries near 2**40 does not wrap."""
+    E = random_skew(6, -2**40, 2**40)
+    as_numpy = [[np.int64(x) for x in row] for row in E]
+    assert pfaffian(as_numpy) == pfaffian(E) == pfaffian_oracle(E)
 
 
 def test_pfaffian_zero_on_degenerate():
@@ -224,6 +234,126 @@ def test_exact_beyond_int64(g):
         assert matmul(transpose(U), matmul(F, U)) == J
 
 
+def skew_reduce_oracle(E):
+    """The congruence reduction on Python ints alone, with G and T held
+    apart: the same steps as ``lattice._skew_reduce``, the reference for its
+    int64 path."""
+    n = len(E)
+    G = np.array(E, dtype=object)
+    T = np.eye(n, dtype=object)
+    pivots = []
+    det_T = 1
+    rows, cols = np.triu_indices(n, 1)
+    for t in range(0, n, 2):
+        keep = rows >= t
+        rows, cols = rows[keep], cols[keep]
+        while True:
+            values = np.abs(G[rows, cols])
+            nonzero = np.flatnonzero(values)
+            if not nonzero.size:
+                return T, pivots + [0], det_T
+            k = nonzero[np.argmin(values[nonzero])]
+            i, j = int(rows[k]), int(cols[k])
+            if (i, j) != (t, t + 1):
+                perm = [*range(t), i, j, *(m for m in range(t, n) if m not in (i, j))]
+                T, G = T[:, perm], G[perm][:, perm]
+                det_T *= (-1) ** (i + j + 1)
+            if G[t, t + 1] < 0:
+                T[:, t + 1] *= -1
+                G[t + 1] *= -1
+                G[:, t + 1] *= -1
+                det_T = -det_T
+            d = G[t, t + 1]
+            r, s = G[t, t + 2:] // d, G[t + 1, t + 2:] // d
+            T[:, t + 2:] += T[:, t, None] * s - T[:, t + 1, None] * r
+            G[:, t + 2:] += G[:, t, None] * s - G[:, t + 1, None] * r
+            G[t + 2:] += s[:, None] * G[t] - r[:, None] * G[t + 1]
+            if not G[t:t + 2, t + 2:].any():
+                break
+        pivots.append(G[t, t + 1])
+    return T, pivots, det_T
+
+
+def assert_same_reduction(E):
+    T, pivots, det_T = lattice._skew_reduce(E)
+    T_ref, pivots_ref, det_ref = skew_reduce_oracle(E)
+    assert np.array_equal(T, T_ref)
+    assert (pivots, det_T) == (pivots_ref, det_ref)
+    assert T.dtype == object and all(type(x) is int for x in T.flat)
+    assert all(type(d) is int for d in pivots)
+    return T_ref
+
+
+def test_skew_reduce_matches_python_int_oracle():
+    """Random forms, degenerate ones included, with entries from 2**3, which
+    stay in int64, to 2**40, which start on Python ints."""
+    for case in range(80):
+        n = 2 * rng.randint(1, 5)
+        bits = (3, 10, 20, 30, 40)[case % 5]
+        E = np.array(random_skew(n, -2**bits, 2**bits), dtype=object)
+        if case % 8 == 0:
+            E[-1], E[:, -1] = 0, 0
+        assert_same_reduction(E)
+
+
+def test_skew_reduce_leaves_int64_when_the_bound_is_reached():
+    """Entries below 2**31 start the run in int64, and the reduction ends
+    with entries of T beyond 2**63, which no int64 holds: the run moved to
+    Python ints on the way and still took the oracle's steps."""
+    E = np.array(random_skew(6, -2**20, 2**20), dtype=object)
+    assert lattice._max_abs(E) < 2**31
+    T = assert_same_reduction(E)
+    assert lattice._max_abs(T) > 2**63
+
+
+@pytest.mark.parametrize("b, dtype", [(2**31 - 1, np.int64), (2**31, object)])
+def test_matmul_guard_at_the_int64_bound(b, dtype):
+    """n * max|A| * max|B| = 2 * 2**31 * b: just below 2**63 the product runs
+    in int64, at 2**63 on Python ints, where the entry 2**63 would wrap."""
+    a = 2**31
+    A = np.array([[a, a], [-a, a]], dtype=object)
+    B = np.array([[b, -b], [b, b]], dtype=object)
+    product = lattice._matmul(A, B)
+    assert product.dtype == dtype
+    assert np.array_equal(product, A @ B)
+    assert lattice._max_abs(A @ B) == 2 * a * b
+
+
+def test_power_matches_matrix_power_across_the_bound():
+    """Fibonacci powers: F_92 fits in int64 and F_93 does not."""
+    fib = np.array([[1, 1], [1, 0]], dtype=object)
+    for e in (0, 1, 2, 50, 91, 92, 93, 200):
+        assert np.array_equal(lattice._power(fib, e), np.linalg.matrix_power(fib, e))
+    assert lattice._power(fib, 50).dtype == np.int64
+    assert lattice._power(fib, 93).dtype == object
+
+
+def test_int64_products_on_every_period_query():
+    """For every period query at p = 5..13 that yields a period point, the
+    layout product, R and the products of the checks equal their Python-int
+    counterparts, and the guard lets R**p run in int64."""
+    queries = 0
+    for p in (5, 7, 11, 13):
+        ctx = PrimeContext(p)
+        g = ctx.g
+        for cm in enumerate_cm_types(ctx):
+            try:
+                data = period_matrix(find_polarization(ctx, cm))
+            except RiemannRelationsViolated:
+                continue
+            queries += 1
+            E, U, R = data.polarization.gram, data.U, data.R
+            assert np.array_equal(lattice._matmul(lattice._matmul(U.T, E), U), U.T @ E @ U)
+            X = U.T @ E @ multiplication_matrix(ctx) @ U
+            assert np.array_equal(R, np.concatenate((-X[g:], X[:g])))
+            JR = np.concatenate((R[g:], -R[:g]))
+            assert np.array_equal(lattice._matmul(R.T, JR), R.T @ JR)
+            power = lattice._power(R, p)
+            assert power.dtype == np.int64
+            assert np.array_equal(power, np.linalg.matrix_power(R, p))
+    assert queries == 105
+
+
 def test_symplectic_basis_rejects_imprimitive():
     doubled = [[2 * x for x in row] for row in standard_symplectic(2)]
     with pytest.raises(ValueError, match="elementary divisor"):
@@ -241,7 +371,7 @@ def test_symplectic_basis_rejects_degenerate_and_odd():
               [[1, 1], [-1, 0]],         # nonzero diagonal
               [[0, 1, 0], [-1, 0, 0]],   # not square
               [[0, 1], [-1]]):           # ragged
-        with pytest.raises(ValueError, match="^pfaffian needs a"):
+        with pytest.raises(ValueError, match="^symplectic_basis needs a"):
             symplectic_basis(E)
 
 
@@ -432,6 +562,92 @@ def test_find_polarization_memory_does_not_grow_with_bound(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def tail_count(g, bound):
+    """The t of ``find_polarization``: the most tails that fit 2**14, at least 1."""
+    return next((t for t in range(g, 1, -1) if (2 * bound + 1) ** t <= 1 << 14), 1)
+
+
+def skipped_heads_fail_the_compare(p, members, bound=5) -> int:
+    """Re-run the float compare on every head that ``_live_heads`` skips up
+    to the winner's head, against a tail table built from an integer grid:
+    no tail may pass.  Returns the number of skipped heads."""
+    ctx = PrimeContext(p)
+    cm = CmType(ctx, members)
+    g, t = ctx.g, tail_count(ctx.g, bound)
+    sines = lattice._sines(ctx, cm)
+    winner = find_polarization(ctx, cm, bound).c[:g - t]
+    live = set(itertools.takewhile(lambda head: head <= winner,
+                                   (head for head, _ in lattice._live_heads(sines, t, bound))))
+    grid = itertools.product(range(-bound, bound + 1), repeat=t)
+    tail_signs = sines[:, g - t:] @ np.array(list(grid), dtype=np.float64).T
+    skipped = 0
+    for head in itertools.product(range(-bound, bound + 1), repeat=g - t):
+        if head > winner:
+            break
+        if head in live:
+            continue
+        skipped += 1
+        passing = np.arange(tail_signs.shape[1])
+        for row, shift in zip(tail_signs, sines[:, :g - t] @ head):
+            passing = passing[row[passing] > -shift]
+        assert not passing.size, (members, head)
+    return skipped
+
+
+def test_skipped_heads_have_no_passing_tail():
+    """Every CM type at p = 5..13 (p = 5 and 7 have no heads at bound 5)."""
+    skipped = {p: sum(skipped_heads_fail_the_compare(p, cm.members)
+                      for cm in enumerate_cm_types(PrimeContext(p)))
+               for p in (5, 7, 11, 13)}
+    assert skipped[5] == skipped[7] == 0
+    assert skipped[13] > 0
+
+
+def test_skipped_heads_have_no_passing_tail_p17():
+    """20 seeded CM types at p = 17, where the box has 11**4 heads."""
+    types = list(enumerate_cm_types(PrimeContext(17)))
+    sample = random.Random(17).sample(types, 20)
+    assert sum(skipped_heads_fail_the_compare(17, cm.members) for cm in sample) > 0
+
+
+def test_weight_family_size():
+    """All 2**g - 1 nonempty sets for g <= 14; beyond, every set of at most
+    k embeddings, k the largest size with at most 2**14 sets in all."""
+    for g in range(1, 33):
+        W = lattice._weights(g)
+        sizes = W.sum(axis=1)
+        k = int(sizes.max())
+        assert W.shape[1] == g and np.isin(W, (0, 1)).all() and sizes.min() == 1
+        assert len(np.unique(W.astype(np.int64) @ (1 << np.arange(g)))) == len(W)
+        assert len(W) == sum(math.comb(g, size) for size in range(1, k + 1)) <= 2**14
+        if g <= 14:
+            assert len(W) == 2**g - 1
+        else:
+            assert len(W) + math.comb(g, k + 1) > 2**14
+
+
+def test_heads_compared_over_lattice_box_classes(monkeypatch):
+    """classify --with-lattice at p = 11 and 13 reaches its 10 winners
+    through 250 heads, and the skip leaves 80 of them to the float compare."""
+    compared = 0
+    real = lattice._live_heads
+
+    def counted(*args):
+        nonlocal compared
+        for item in real(*args):
+            compared += 1
+            yield item
+
+    monkeypatch.setattr(lattice, "_live_heads", counted)
+    visited = 0
+    for p in (11, 13):
+        g, t = (p - 1) // 2, tail_count((p - 1) // 2, 5)
+        for row in cli.run_classify(p, with_lattice=True)["classes"]:
+            visited += 1 + sum((c + 5) * 11 ** (g - t - 1 - i)
+                               for i, c in enumerate(row["lattice"]["c"][:g - t]))
+    assert (visited, compared) == (250, 80)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])
@@ -707,6 +923,7 @@ def test_exact_matrices_are_read_only():
     data = pipeline(7, (1, 2, 3), (1, -1, 1))
     for matrix in (data.polarization.gram, data.polarization.reduction,
                    data.U, data.R):
+        assert matrix.dtype == object and all(type(x) is int for x in matrix.flat)
         with pytest.raises(ValueError, match="read-only"):
             matrix[0, 0] = 1
 
