@@ -23,11 +23,11 @@ Python ints (dtype=object), exact at any size, and the matrices stored on the
 frozen dataclasses are read-only.  Each form is reduced by one integer
 congruence reduction, which the form keeps: it yields both the Pfaffian and
 the symplectic basis, and the induced lattice automorphism is an integer
-matrix product.  Products and the reduction run in int64 only while a bound
-on their entries proves that no partial sum leaves its range, and on Python
-ints otherwise.  Floating point enters only in the polarization prescreen
-(the head skip and the sign compare), whose every hit an exact Pfaffian
-confirms, and in the period matrix itself and its verification.
+matrix product.  Products run in int64 only while a bound on their entries
+proves that no partial sum leaves its range, and on Python ints otherwise.
+Floating point enters only in the polarization prescreen (the head skip and
+the sign compare), whose every hit an exact Pfaffian confirms, and in the
+period matrix itself and its verification.
 """
 
 import itertools
@@ -121,53 +121,45 @@ def _skew_reduce(E: np.ndarray) -> tuple[np.ndarray, list[int], int]:
     Each step moves a minimal nonzero entry (the least (|v|, i, j), i < j)
     into pivot position, clears its row pair by Euclidean steps, and splits
     off the plane.  A degenerate form ends the pivot list with a 0.
-
-    G = T^T E T and T share one working array A = [G; T]: a column operation
-    acts on both, a row operation on G only.  It starts in int64 when
-    max|E| < 2**31.  A clearing step with quotients q = (r; s) takes no
-    entry beyond max|A| * (1 + 2 max|q|)**2, so as soon as that bound reaches
-    2**62 the rest of the run is on Python ints.  T is returned as a
-    fresh object array of Python ints, and the pivots as Python ints.
     """
     n = len(E)
-    dtype = np.int64 if _max_abs(E) < 1 << 31 else object
-    A = np.concatenate((E.astype(dtype), np.eye(n, dtype=dtype)))
+    G = E.copy()
+    T = np.eye(n, dtype=object)
     pivots = []
     det_T = 1
-    rows, cols = np.nonzero(np.arange(n)[:, None] < np.arange(n))  # i < j, row-major
+    rows, cols = np.triu_indices(n, 1)
     for t in range(0, n, 2):
         keep = rows >= t
         rows, cols = rows[keep], cols[keep]
         while True:
-            values = np.abs(A[rows, cols])
+            values = np.abs(G[rows, cols])
             nonzero = np.flatnonzero(values)
             if not nonzero.size:
-                return A[n:].astype(object), pivots + [0], det_T
+                return T, pivots + [0], det_T
             k = nonzero[np.argmin(values[nonzero])]
             i, j = int(rows[k]), int(cols[k])
             # bring b_i, b_j to positions t, t+1, keeping the others in order:
             # (i - t) + (j - t - 1) adjacent transpositions
             if (i, j) != (t, t + 1):
                 perm = [*range(t), i, j, *(m for m in range(t, n) if m not in (i, j))]
-                A = A[:, perm][[*perm, *range(n, 2 * n)]]
+                T, G = T[:, perm], G[perm][:, perm]
                 det_T *= (-1) ** (i + j + 1)
-            if A[t, t + 1] < 0:
-                A[:, t + 1] *= -1
-                A[t + 1] *= -1
+            if G[t, t + 1] < 0:
+                T[:, t + 1] *= -1
+                G[t + 1] *= -1
+                G[:, t + 1] *= -1
                 det_T = -det_T
-            d = A[t, t + 1]
+            d = G[t, t + 1]
             # b_k += s_k b_t - r_k b_{t+1} for every k > t+1 leaves E(b_t, b_k)
             # and E(b_{t+1}, b_k) as their remainders mod d
-            q = A[t:t + 2, t + 2:n] // d
-            if A.dtype != object and _max_abs(A) * (1 + 2 * _max_abs(q)) ** 2 >= 1 << 62:
-                A, q = A.astype(object), q.astype(object)
-            r, s = q
-            A[:, t + 2:] += A[:, t, None] * s - A[:, t + 1, None] * r
-            A[t + 2:n] += s[:, None] * A[t] - r[:, None] * A[t + 1]
-            if not A[t:t + 2, t + 2:n].any():
+            r, s = G[t, t + 2:] // d, G[t + 1, t + 2:] // d
+            T[:, t + 2:] += T[:, t, None] * s - T[:, t + 1, None] * r
+            G[:, t + 2:] += G[:, t, None] * s - G[:, t + 1, None] * r
+            G[t + 2:] += s[:, None] * G[t] - r[:, None] * G[t + 1]
+            if not G[t:t + 2, t + 2:].any():
                 break
-        pivots.append(int(A[t, t + 1]))
-    return A[n:].astype(object), pivots, det_T
+        pivots.append(G[t, t + 1])
+    return T, pivots, det_T
 
 
 def symplectic_basis(E) -> np.ndarray:
@@ -237,17 +229,12 @@ def _sines(ctx: PrimeContext, cm: CmType) -> np.ndarray:
 
 
 def _weights(g: int) -> np.ndarray:
-    """0/1 weight rows over g embeddings: every nonempty set of at most k of
-    them, k the largest size that keeps the count at most 2**14 (the cap of
-    the tail table), so all 2**g - 1 sets when g <= 14."""
-    counts = itertools.accumulate(math.comb(g, size) for size in range(1, g + 1))
-    k = sum(count <= 1 << 14 for count in counts)
-    if k == g:
-        masks = np.arange(1, 1 << g)
-    else:
-        masks = np.array([sum(1 << i for i in members) for size in range(1, k + 1)
-                          for members in itertools.combinations(range(g), size)])
-    return (masks[:, None] >> np.arange(g) & 1).astype(np.float64)
+    """0/1 weight rows over g embeddings: every set of one, two or three of
+    them (all 2**g - 1 nonempty sets when g <= 3).  Larger sets skip few
+    more heads, and as g grows their longer product per head costs more than
+    the compares they save."""
+    sets = [s for size in (1, 2, 3) for s in itertools.combinations(range(g), size)]
+    return np.array([[i in s for i in range(g)] for s in sets], dtype=np.float64)
 
 
 def _live_heads(sines: np.ndarray, t: int, bound: int):
