@@ -116,15 +116,13 @@ def run_spectrum(p: int, exponents: tuple[int, ...]) -> dict:
     ctx = PrimeContext(p)
     spec = CyclicCoverSpec(ctx, exponents)
     spectrum = cw_spectrum(spec)
-    doc = {"p": p, "exponents": list(spec.exponents), "genus": cover_genus(spec),
-           "support": list(spectrum_support(spectrum))}
     try:
         row = spectrum_class(ctx, spectrum)
     except ValueError:
-        row = None
-    doc["class_canonical"] = row["canonical"] if row else None
-    doc["isolated"] = row["isolated"] if row else None
-    return doc
+        row = {"canonical": None, "isolated": None}
+    return {"p": p, "exponents": list(spec.exponents), "genus": cover_genus(spec),
+            "support": list(spectrum_support(spectrum)),
+            "class_canonical": row["canonical"], "isolated": row["isolated"]}
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +194,14 @@ def _write_rows_json(doc: dict, sink) -> None:
     sink.write(("\n  ]" if rows else "]") + tail)
 
 
-def _rows_and_headers(doc: dict) -> tuple[list[str], list[list[str]]]:
+def _table(doc: dict) -> list[list[str]]:
+    """The header row, then one row of cells per class (or for the document
+    itself when it has no ``classes``)."""
     rows = doc.get("classes")
     if rows is None:
         rows = [doc]
     headers = list(rows[0].keys()) if rows else []
-    return headers, [[_cell(row.get(h)) for h in headers] for row in rows]
+    return [headers, *([_cell(row.get(h)) for h in headers] for row in rows)]
 
 
 def render(doc: dict, fmt: str) -> str:
@@ -214,18 +214,14 @@ def render(doc: dict, fmt: str) -> str:
             json.dump(doc, sink, indent=2)
         sink.write("\n")
         return sink.getvalue()
-    headers, rows = _rows_and_headers(doc)
+    table = _table(doc)
     if fmt == "csv":
         sink = io.StringIO()
-        writer = csv.writer(sink, lineterminator="\n")
-        writer.writerow(headers)
-        writer.writerows(rows)
+        csv.writer(sink, lineterminator="\n").writerows(table)
         return sink.getvalue()
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-              for i, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    lines += ["  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() for row in rows]
-    return "\n".join(lines) + "\n"
+    widths = [max(map(len, column)) for column in zip(*table)]
+    return "".join("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() + "\n"
+                   for row in table)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,11 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, **options):
+    def add(name, help_text, run, **options):
+        """A subcommand: its help, its options, then ``--format``; ``run``
+        maps the parsed arguments to the output document."""
         cmd = sub.add_parser(name, help=help_text)
         for flag, kwargs in options.items():
             cmd.add_argument(flag, **kwargs)
         cmd.add_argument("--format", choices=("json", "csv", "table"), default="json")
+        cmd.set_defaults(run=run)
         return cmd
 
     p_arg = {"type": int, "required": True, "help": "odd prime p = 2g+1"}
@@ -251,42 +250,35 @@ def build_parser() -> argparse.ArgumentParser:
                "help": "refuse enumerations beyond this many CM types"}
 
     classify = add("classify", "classify all orbit classes for a prime",
+                   lambda a: run_classify(a.p, a.with_lattice, a.bound, a.cap),
                    **{"--p": p_arg, "--bound": bound_arg, "--cap": cap_arg})
     classify.add_argument("--with-lattice", action="store_true",
                           help="attach a polarized lattice witness to every class")
-    add("orbits", "list orbit classes with stabilizers", **{"--p": p_arg, "--cap": cap_arg})
-    add("stabilizer", "stabilizer of one CM type", **{"--p": p_arg, "--set": set_arg})
+    add("orbits", "list orbit classes with stabilizers", lambda a: run_orbits(a.p, a.cap),
+        **{"--p": p_arg, "--cap": cap_arg})
+    add("stabilizer", "stabilizer of one CM type",
+        lambda a: run_stabilizer(a.p, _parse_ints(a.set)), **{"--p": p_arg, "--set": set_arg})
     add("dim", "stratum dimension from an eigenvalue profile",
+        lambda a: run_dim(a.q, _parse_ints(a.mults)),
         **{"--q": {"type": int, "required": True, "help": "prime order of the action"},
            "--mults": {"required": True, "help": "comma-separated multiplicities n_0..n_(q-1)"}})
     add("polarize", "search the coefficient box for a principal positive form",
+        lambda a: run_polarize(a.p, _parse_ints(a.set), a.bound),
         **{"--p": p_arg, "--set": set_arg, "--bound": bound_arg})
     add("period", "period matrix and automorphism checks for one CM type",
+        lambda a: run_period(a.p, _parse_ints(a.set), a.bound),
         **{"--p": p_arg, "--set": set_arg, "--bound": bound_arg})
     add("spectrum", "character spectrum of a cyclic cover of the line",
+        lambda a: run_spectrum(a.p, _parse_ints(a.exponents)),
         **{"--p": p_arg, "--exponents": {"required": True,
                                          "help": "comma-separated branch exponents"}})
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "classify":
-            doc = run_classify(args.p, args.with_lattice, args.bound, args.cap)
-        elif args.command == "orbits":
-            doc = run_orbits(args.p, args.cap)
-        elif args.command == "stabilizer":
-            doc = run_stabilizer(args.p, _parse_ints(args.set))
-        elif args.command == "dim":
-            doc = run_dim(args.q, _parse_ints(args.mults))
-        elif args.command == "polarize":
-            doc = run_polarize(args.p, _parse_ints(args.set), args.bound)
-        elif args.command == "period":
-            doc = run_period(args.p, _parse_ints(args.set), args.bound)
-        else:
-            doc = run_spectrum(args.p, _parse_ints(args.exponents))
+        doc = args.run(args)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))

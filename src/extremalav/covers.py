@@ -12,7 +12,7 @@ type, which ties concrete curves to the lattice classification.
 from dataclasses import dataclass
 
 from .cmtypes import CmType, is_cm_type
-from .fp import PrimeContext
+from .fp import PrimeContext, read_int
 from .orbits import orbit_class
 from .strata import classification_row
 
@@ -30,9 +30,7 @@ class CyclicCoverSpec:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        exps = tuple(int(a) for a in self.exponents)
-        for a in exps:
-            self.ctx.check_residue(a)
+        exps = tuple(self.ctx.check_residue(read_int(a, "exponent")) for a in self.exponents)
         missing = -sum(exps) % self.ctx.p
         if missing:
             exps = exps + (missing,)

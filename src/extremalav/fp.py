@@ -4,7 +4,16 @@ Everything downstream works with residues 1..p-1 of an odd prime p = 2g+1
 and needs element orders and cyclic subgroups, exactly and cheaply.
 """
 
+import numbers
 from dataclasses import dataclass, field
+
+
+def read_int(x, name: str) -> int:
+    """x as a Python int.  A numpy integer is read by value; a bool or a
+    non-integer, which ``int`` would read as 0/1 or truncate, is rejected."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return int(x)
 
 
 def is_prime(n: int) -> bool:

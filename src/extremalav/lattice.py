@@ -39,7 +39,7 @@ import numpy as np
 
 from .cmtypes import CmType
 from .errors import InternalCheckFailed, PolarizationNotFound, RiemannRelationsViolated
-from .fp import PrimeContext
+from .fp import PrimeContext, read_int
 
 ALGEBRAIC_TOL = 1e-9
 COMPOSED_TOL = 1e-8
@@ -197,7 +197,7 @@ def _symplectic_layout(E: np.ndarray, T: np.ndarray, pivots) -> np.ndarray:
 
 def _odd_table(ctx: PrimeContext, c) -> np.ndarray:
     """c extended to all residues mod p as Python ints: c_0 = 0, c_{p-k} = -c_k."""
-    c = [int(x) for x in c]
+    c = [read_int(x, "coefficient") for x in c]
     if len(c) != ctx.g:
         raise ValueError(f"need {ctx.g} coefficients, got {len(c)}")
     return np.array([0, *c, *(-x for x in reversed(c))], dtype=object)
@@ -294,8 +294,8 @@ class PolarizationForm:
 
 def build_polarization(ctx: PrimeContext, cm: CmType, c) -> PolarizationForm:
     """Assemble the form data for a coefficient vector, without any gating."""
-    c = tuple(int(x) for x in c)
     gram = gram_matrix(ctx, c)
+    c = tuple(gram[0, 1:ctx.g + 1])  # row 0 is the odd table: 0, c_1, ..., c_g, ...
     alpha_imag = 2.0 / ctx.p * (_sines(ctx, cm) @ np.array(c, dtype=np.float64))
     T, pivots, det_T = _skew_reduce(gram)
     return PolarizationForm(ctx, cm, c, gram, tuple(alpha_imag.tolist()),
@@ -333,6 +333,7 @@ def find_polarization(ctx: PrimeContext, cm: CmType, bound: int = 5) -> Polariza
 
     Raises ``PolarizationNotFound`` when the box is exhausted.
     """
+    bound = read_int(bound, "bound")
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     g, p = ctx.g, ctx.p
@@ -349,7 +350,7 @@ def find_polarization(ctx: PrimeContext, cm: CmType, bound: int = 5) -> Polariza
         positive = np.flatnonzero((tail_signs > -shift).all(axis=0))
         products = (tail_signs[:, positive] + shift).prod(axis=0)
         for idx in positive[np.abs(products - unit_product) < unit_product / 2]:
-            form = build_polarization(ctx, cm, (*head, *tails[:, idx]))
+            form = build_polarization(ctx, cm, (*head, *map(int, tails[:, idx])))
             if abs(form.pfaffian) == 1:
                 return form
     raise PolarizationNotFound(

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -379,6 +380,42 @@ def test_riemann_violation_names_measured_eigenvalue(capsys):
 
 # ---------------------------------------------------------------------------
 # process-level behavior
+
+
+def test_help_digest(capsys, monkeypatch):
+    """``--help`` of the top level and of each subcommand, pinned byte for
+    byte at 80 columns (3327 characters)."""
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    for command in ("", "classify", "orbits", "stabilizer", "dim", "polarize", "period",
+                    "spectrum"):
+        with pytest.raises(SystemExit) as exc:
+            main([*command.split(), "--help"])
+        assert exc.value.code == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == (
+        "985000505bc3ab47bbf31ec45f2772497701c9a2cf9e118b654b1762a7ca1a65"
+    )
+
+
+def test_readme_examples(capsys):
+    """Every ``$ extremalav ...`` example in the README that shows output
+    prints it: csv and table exactly, JSON (shown compacted) as equal data."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    examples = [
+        (command, shown)
+        for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+        for command, shown in re.findall(r"^\$ extremalav (.*)\n((?:(?!\$ ).+\n)*)", block, re.M)
+        if shown
+    ]
+    assert len(examples) == 7
+    for command, shown in examples:
+        code, out, err = run(capsys, *command.split())
+        assert (code, err) == (0, ""), command
+        if "--format" in command:
+            assert out == shown, command
+        else:
+            assert json.loads(out) == json.loads(shown), command
 
 
 def test_version_flag(capsys):

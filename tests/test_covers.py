@@ -48,6 +48,11 @@ def test_rejects_bad_exponents():
         spec(7, (1, 2, 7))
     with pytest.raises(ValueError):
         spec(7, (1, 2, -3))
+    # int() would read these as (2, 8) and (1, 8)
+    with pytest.raises(ValueError, match="^exponent must be an integer, got 2.9$"):
+        spec(11, (2.9, 8))
+    with pytest.raises(ValueError, match="^exponent must be an integer, got True$"):
+        spec(11, (True, 8))
 
 
 def test_rejects_too_few_branch_points():

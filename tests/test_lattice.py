@@ -460,8 +460,9 @@ def test_find_polarization_matches_pure_python_scan(p, bound):
 
 def test_find_polarization_bad_bound():
     ctx = PrimeContext(7)
-    with pytest.raises(ValueError):
-        find_polarization(ctx, CmType(ctx, (1, 2, 3)), bound=0)
+    for bound in (0, True, 2.5):  # range() would search True as 1 and fail on 2.5
+        with pytest.raises(ValueError):
+            find_polarization(ctx, CmType(ctx, (1, 2, 3)), bound=bound)
 
 
 def reduction_with_pfaffian_3(E):
@@ -607,6 +608,29 @@ def test_wrong_coefficient_count_raises(call, delta):
     c = [1, -1, 1, 2][:ctx.g + delta]
     with pytest.raises(ValueError, match=f"need 3 coefficients, got {3 + delta}"):
         call(ctx, c)
+
+
+@pytest.mark.parametrize("c", [(0.5, 1.9, -1.2), (True, 1, -1)], ids=["float", "bool"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda ctx, c: gram_matrix(ctx, c),
+        lambda ctx, c: riemann_form_value(ctx, c, 0, 1),
+        lambda ctx, c: build_polarization(ctx, CmType(ctx, (1, 2, 4)), c),
+    ],
+    ids=["gram_matrix", "riemann_form_value", "build_polarization"],
+)
+def test_non_integer_coefficients_raise(call, c):
+    """int() would read 1.9 as 1 and True as 1: the coefficients are rejected."""
+    with pytest.raises(ValueError, match="^coefficient must be an integer, got "):
+        call(PrimeContext(7), c)
+
+
+def test_numpy_integer_coefficients_are_read_as_ints():
+    ctx = PrimeContext(7)
+    form = build_polarization(ctx, CmType(ctx, (1, 2, 4)), np.array([0, 1, -1]))
+    assert form.c == (0, 1, -1) and {*map(type, form.c)} == {int}
+    assert form.pfaffian == -1
 
 
 def test_build_polarization_validates_length():
