@@ -73,14 +73,14 @@ def run_classify(p: int, with_lattice: bool = False, bound: int = 5,
         if with_lattice:
             row["lattice"] = _lattice_witness(ctx, cls.canonical, bound)
         rows.append(row)
-    return {"version": __version__, "p": p, "g": ctx.g,
+    return {"version": __version__, "p": ctx.p, "g": ctx.g,
             "orbit_count": len(rows), "classes": rows}
 
 
 def run_orbits(p: int, cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
     ctx = PrimeContext(p)
     classes = _checked_orbit_classes(ctx, cap)
-    return {"version": __version__, "p": p, "g": ctx.g,
+    return {"version": __version__, "p": ctx.p, "g": ctx.g,
             "orbit_count": len(classes), "classes": [c.to_json() for c in classes]}
 
 
@@ -88,13 +88,13 @@ def run_stabilizer(p: int, members: tuple[int, ...]) -> dict:
     ctx = PrimeContext(p)
     cm = CmType(ctx, members)
     stab = stabilizer(ctx, cm)
-    return {"p": p, "set": list(cm.members), "stabilizer": list(stab.elements),
+    return {"p": ctx.p, "set": list(cm.members), "stabilizer": list(stab.elements),
             "order": stab.order, "generator": stab.generator}
 
 
 def run_dim(q: int, multiplicities: tuple[int, ...]) -> dict:
     profile = SpectrumProfile(q, multiplicities)
-    return {"q": q, "multiplicities": list(profile.multiplicities),
+    return {"q": profile.q, "multiplicities": list(profile.multiplicities),
             "g": profile.g, "r": profile.r, "dim": stratum_dimension(profile)}
 
 
@@ -102,7 +102,7 @@ def run_polarize(p: int, members: tuple[int, ...], bound: int = 5) -> dict:
     ctx = PrimeContext(p)
     cm = CmType(ctx, members)
     polarization = find_polarization(ctx, cm, bound)
-    return {"p": p, "set": list(cm.members), "c": list(polarization.c),
+    return {"p": ctx.p, "set": list(cm.members), "c": list(polarization.c),
             "pfaffian": polarization.pfaffian}
 
 
@@ -120,7 +120,7 @@ def run_spectrum(p: int, exponents: tuple[int, ...]) -> dict:
         row = spectrum_class(ctx, spectrum)
     except ValueError:
         row = {"canonical": None, "isolated": None}
-    return {"p": p, "exponents": list(spec.exponents), "genus": cover_genus(spec),
+    return {"p": ctx.p, "exponents": list(spec.exponents), "genus": cover_genus(spec),
             "support": list(spectrum_support(spectrum)),
             "class_canonical": row["canonical"], "isolated": row["isolated"]}
 

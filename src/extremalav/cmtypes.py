@@ -9,7 +9,7 @@ compatible with multiplication by a primitive p-th root of unity.
 from dataclasses import dataclass
 
 from .errors import EnumerationCapExceeded
-from .fp import PrimeContext
+from .fp import PrimeContext, read_int
 
 #: Refuse to sweep more than this many CM types.  The orbit sweep holds one
 #: chunk of choice masks plus about 2**g/(p-1) classes, and the classify
@@ -20,7 +20,7 @@ DEFAULT_ENUMERATION_CAP = 1 << 24
 
 def check_cap(ctx: PrimeContext, cap: int) -> None:
     """Raise ``EnumerationCapExceeded`` when the 2**g CM types exceed ``cap``."""
-    if 2 ** ctx.g > cap:
+    if 2 ** ctx.g > read_int(cap, "cap"):
         raise EnumerationCapExceeded(
             f"enumeration too large: 2**{ctx.g} CM types exceeds cap {cap}"
         )
@@ -32,9 +32,7 @@ def is_cm_type(ctx: PrimeContext, members) -> bool:
     s = set(members)
     for k in s:
         ctx.check_residue(k)
-    if len(members) != ctx.g:
-        return False
-    return all((k in s) != (ctx.p - k in s) for k in range(1, ctx.g + 1))
+    return len(members) == ctx.g and all((k in s) != (ctx.p - k in s) for k in range(1, ctx.g + 1))
 
 
 @dataclass(frozen=True)
@@ -46,9 +44,9 @@ class CmType:
 
     def __post_init__(self):
         members = tuple(sorted(self.members))
-        object.__setattr__(self, "members", members)
-        if not is_cm_type(self.ctx, members):
-            raise ValueError(f"not a CM type mod {self.ctx.p}: {list(members)}")
+        if not is_cm_type(self.ctx, members):  # which reads each by check_residue
+            raise ValueError(f"not a CM type mod {self.ctx.p}: {list(map(int, members))}")
+        object.__setattr__(self, "members", tuple(map(int, members)))
 
     @classmethod
     def _unchecked(cls, ctx: PrimeContext, members: tuple[int, ...]) -> "CmType":

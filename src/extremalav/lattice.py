@@ -32,14 +32,13 @@ period matrix itself and its verification.
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cmtypes import CmType
 from .errors import InternalCheckFailed, PolarizationNotFound, RiemannRelationsViolated
-from .fp import PrimeContext, read_int
+from .fp import PrimeContext, is_int, read_int
 
 ALGEBRAIC_TOL = 1e-9
 COMPOSED_TOL = 1e-8
@@ -80,7 +79,7 @@ def _even_skew(E, caller: str) -> np.ndarray:
         raise ValueError(f"{caller} undefined for odd dimension")
     if not np.array_equal(E, -E.T):
         raise ValueError(f"{caller} needs a skew-symmetric matrix")
-    if not all(isinstance(x, numbers.Integral) for x in E.flat):
+    if not all(is_int(x) for x in E.flat):
         raise ValueError(f"{caller} needs an integer matrix")
     return np.frompyfunc(int, 1, 1)(E)  # numpy integer entries would wrap
 
@@ -212,7 +211,7 @@ def riemann_form_value(ctx: PrimeContext, c, a: int, b: int) -> int:
     """
     table = _odd_table(ctx, c)
     for a_, name in ((a, "a"), (b, "b")):
-        if not 0 <= a_ <= ctx.p - 2:
+        if not is_int(a_) or not 0 <= a_ <= ctx.p - 2:
             raise ValueError(f"{name} out of range 0..{ctx.p - 2}: {a_}")
     return table[(b - a) % ctx.p]
 
@@ -307,7 +306,7 @@ def find_polarization(ctx: PrimeContext, cm: CmType, bound: int = 5) -> Polariza
     order) whose form is unimodular and positive on every selected embedding.
 
     With s_j = sum_k c_k sin(2 pi j k / p), positivity is s_j > 0 for j in the
-    CM type, and the Pfaffian has the closed form |Pf| = prod_j 2 s_j / sqrt(p).
+    CM type, and the Pfaffian has the closed form |Pf| = 2**g * prod_j s_j / sqrt(p).
     |Pf| is an integer, so comparing prod_j s_j with sqrt(p) / 2**g to within
     half of that value separates |Pf| = 1 from every other value with room to
     spare; the exact Pfaffian then decides each hit.

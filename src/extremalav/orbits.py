@@ -33,7 +33,7 @@ CHUNK = 1 << 16
 
 def act(ctx: PrimeContext, k: int, cm: CmType) -> CmType:
     """Translate a CM type by the unit k: every member s becomes k*s mod p."""
-    ctx.check_residue(k)
+    k = ctx.check_residue(k)
     return CmType(ctx, tuple(k * s % ctx.p for s in cm.members))
 
 

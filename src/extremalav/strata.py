@@ -24,7 +24,7 @@ import enum
 from dataclasses import dataclass
 
 from .cmtypes import CmType
-from .fp import PrimeContext, element_order, is_prime
+from .fp import PrimeContext, element_order, is_int, is_prime
 from .orbits import OrbitClass, act, stabilizer
 # Not called here: kept so that the layer tracer in bench/layers.py can wrap it.
 from .orbits import canonical_form  # noqa: F401
@@ -43,14 +43,16 @@ class SpectrumProfile:
     multiplicities: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "multiplicities", tuple(self.multiplicities))
-        n = self.multiplicities
+        n = tuple(self.multiplicities)
         if not is_prime(self.q):
             raise ValueError(f"inconsistent spectrum: q = {self.q} is not prime")
         if self.q == 2:
             raise ValueError("inconsistent spectrum: q = 2 is not an odd prime")
-        if len(n) != self.q or any(not isinstance(m, int) or isinstance(m, bool) or m < 0 for m in n):
+        if len(n) != self.q or any(not is_int(m) or m < 0 for m in n):
             raise ValueError(f"inconsistent spectrum: need {self.q} multiplicities >= 0")
+        n = tuple(map(int, n))
+        object.__setattr__(self, "q", int(self.q))
+        object.__setattr__(self, "multiplicities", n)
         pair_sums = {n[i] + n[self.q - i] for i in range(1, (self.q + 1) // 2)}
         if len(pair_sums) > 1:
             raise ValueError(
@@ -111,7 +113,7 @@ def stabilizer_element_profile(ctx: PrimeContext, cm: CmType, u: int) -> Spectru
     fall into g/q cycles of length q = ord(u) and every q-th root of unity
     occurs with multiplicity g/q.
     """
-    ctx.check_residue(u)
+    u = ctx.check_residue(u)
     if u == 1:
         raise ValueError("u = 1 carries no stratum information")
     if act(ctx, u, cm) != cm:

@@ -9,6 +9,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import extremalav.cli as cli
@@ -96,6 +97,28 @@ def test_stabilizer_rejects_bool_residues():
     # True passes as the residue 1, and its JSON would read "set": [true, 2, 4].
     with pytest.raises(ValueError, match="residue out of range"):
         cli.run_stabilizer(7, (True, 2, 4))
+
+
+@pytest.mark.parametrize(
+    "run, args",
+    [
+        (cli.run_classify, (7,)),
+        (cli.run_orbits, (7,)),
+        (cli.run_stabilizer, (7, (1, 2, 4))),
+        (cli.run_dim, (5, (1, 1, 1, 1, 1))),
+        (cli.run_polarize, (7, (1, 2, 4), 1)),
+        (cli.run_period, (7, (1, 2, 4))),
+        (cli.run_spectrum, (7, (1, 2, 4))),
+    ],
+    ids=["classify", "orbits", "stabilizer", "dim", "polarize", "period", "spectrum"],
+)
+def test_numpy_integer_arguments_render_the_same_bytes(run, args):
+    """Each document echoes the integers it read, not the numpy arguments,
+    which ``json`` cannot serialize."""
+    def as_numpy(x):
+        return tuple(map(np.int64, x)) if isinstance(x, tuple) else np.int64(x)
+
+    assert cli.render(run(*map(as_numpy, args)), "json") == cli.render(run(*args), "json")
 
 
 def test_dim_document(capsys):

@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
 from extremalav.cmtypes import CmType, enumerate_cm_types, is_cm_type
 from extremalav.errors import EnumerationCapExceeded
 from extremalav.fp import PrimeContext
+from extremalav.orbits import orbit_classes
 
 
 def brute_cm_types(p):
@@ -48,9 +50,19 @@ def test_cm_type_sorts_members():
 
 def test_cm_type_rejects_invalid():
     ctx = PrimeContext(7)
-    for bad in [(1, 2, 5), (1, 2), (0, 1, 2), (1, 6, 3), (True, 2, 3)]:
+    for bad in [(1, 2, 5), (1, 2), (0, 1, 2), (1, 6, 3), (True, 2, 3), (1.0, 2, 4),
+                (np.float64(1), 2, 4)]:
         with pytest.raises(ValueError):
             CmType(ctx, bad)
+
+
+def test_cm_type_reads_numpy_members_as_ints():
+    ctx = PrimeContext(7)
+    cm = CmType(ctx, np.array([4, 1, 2]))
+    assert cm == CmType(ctx, (1, 2, 4))
+    assert all(type(k) is int for k in cm.members)
+    with pytest.raises(ValueError, match=r"^not a CM type mod 7: \[1, 2, 5\]$"):
+        CmType(ctx, np.array([1, 2, 5]))
 
 
 def test_cm_type_json():
@@ -83,3 +95,8 @@ def test_enumeration_cap():
         enumerate_cm_types(PrimeContext(11), cap=16)
     # exactly at the cap is allowed
     assert len(enumerate_cm_types(PrimeContext(11), cap=32)) == 32
+    # a bool or a fractional cap is bad input, not a cap that was exceeded
+    for sweep in (enumerate_cm_types, orbit_classes):
+        for cap in (True, 8.5):
+            with pytest.raises(ValueError, match="^cap must be an integer, got "):
+                sweep(PrimeContext(7), cap=cap)

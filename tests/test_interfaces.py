@@ -3,6 +3,7 @@ traced entry points."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,16 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_every_exported_name_resolves():
     missing = [name for name in extremalav.__all__ if not hasattr(extremalav, name)]
     assert missing == []
+
+
+def test_integer_inputs_are_tested_only_in_fp():
+    """``fp.is_int`` is the one integer test: a module that checks for
+    ``Integral`` or for bool itself would read integers its own way."""
+    rule = re.compile(r"\bIntegral\b|isinstance\(.*\bbool\b")
+    found = [f"{path.name}:{n}: {line.strip()}"
+             for path in sorted((ROOT / "src" / "extremalav").glob("*.py")) if path.name != "fp.py"
+             for n, line in enumerate(path.read_text().splitlines(), 1) if rule.search(line)]
+    assert found == []
 
 
 def test_traced_bench_child_runs(tmp_path):

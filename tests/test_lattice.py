@@ -158,6 +158,9 @@ def test_pfaffian_rejects_bad_input():
         pfaffian([[0, 1, 2], [-1, 0, 3]])  # not square
     with pytest.raises(ValueError, match="pfaffian needs an integer matrix"):
         pfaffian([[0, 1.5], [-1.5, 0]])  # int() would truncate it
+    for E in ([[0, True], [-1, 0]], [[False, True], [-True, False]]):
+        with pytest.raises(ValueError, match="pfaffian needs an integer matrix"):
+            pfaffian(E)  # int() would read True as 1
 
 
 def test_pfaffian_exact_on_numpy_integer_entries():
@@ -300,7 +303,8 @@ def test_symplectic_basis_rejects_degenerate_and_odd():
     for E in ([[0, 1], [1, 0]],          # symmetric
               [[1, 1], [-1, 0]],         # nonzero diagonal
               [[0, 1, 0], [-1, 0, 0]],   # not square
-              [[0, 1], [-1]]):           # ragged
+              [[0, 1], [-1]],            # ragged
+              [[0, True], [-1, 0]]):     # bool entry
         with pytest.raises(ValueError, match="^symplectic_basis needs a"):
             symplectic_basis(E)
 
@@ -340,6 +344,13 @@ def test_riemann_form_matches_trace(p):
                 assert riemann_form_value(PrimeContext(p), c, a, b) == form_trace_oracle(
                     p, c, a, b
                 )
+
+
+@pytest.mark.parametrize("a, b, name", [(1.5, 2, "a"), (True, 2, "a"), (0, 6, "b"),
+                                        (-1, 2, "a"), (0, np.float64(2), "b")])
+def test_riemann_form_value_rejects_bad_exponents(a, b, name):
+    with pytest.raises(ValueError, match=f"^{name} out of range 0..5: "):
+        riemann_form_value(PrimeContext(7), (1, -1, 1), a, b)
 
 
 def test_gram_matrix_structure():

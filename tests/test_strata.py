@@ -1,5 +1,6 @@
 """Deformation strata: spectrum profiles, dimension counts, isolation verdicts."""
 
+import numpy as np
 import pytest
 
 from extremalav.cmtypes import CmType, enumerate_cm_types
@@ -35,6 +36,12 @@ def test_profile_accepts_lists():
     assert SpectrumProfile(3, [1, 2, 1]).multiplicities == (1, 2, 1)
 
 
+def test_profile_reads_numpy_integers_as_ints():
+    prof = SpectrumProfile(np.int64(3), np.array([1, 2, 1]))
+    assert prof == SpectrumProfile(3, (1, 2, 1))
+    assert type(prof.q) is int and all(type(m) is int for m in prof.multiplicities)
+
+
 @pytest.mark.parametrize(
     "q,mults",
     [
@@ -44,6 +51,8 @@ def test_profile_accepts_lists():
         (5, (0, 1, 2, 2, 2)),  # n1+n4 = 3 but n2+n3 = 4
         (2, (1, 1)),           # q = 2: the -1 eigenspace is real
         (3, (True, 1, 1)),     # bool entry: would be written back as true
+        (3.0, (0, 1, 1)),      # float q
+        (3, (0, 1.0, 1)),      # float entry
     ],
 )
 def test_profile_rejects_malformed(q, mults):
@@ -183,6 +192,16 @@ def test_stabilizer_element_profile_rejects():
     qr = CmType(ctx19, (1, 4, 5, 6, 7, 9, 11, 16, 17))
     with pytest.raises(ValueError):
         stabilizer_element_profile(ctx19, qr, 4)  # order 9 is not prime
+    with pytest.raises(ValueError, match="residue out of range"):
+        stabilizer_element_profile(ctx, cm, 3.0)
+
+
+def test_numpy_units_are_read_as_ints():
+    ctx = PrimeContext(11)
+    cm = CmType(ctx, (1, 3, 4, 5, 9))
+    assert stabilizer_element_profile(ctx, cm, np.int64(3)) == stabilizer_element_profile(ctx, cm, 3)
+    moved = act(ctx, np.int64(2), cm)
+    assert moved == act(ctx, 2, cm) and all(type(k) is int for k in moved.members)
 
 
 def _order(p, k):
