@@ -9,6 +9,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 
 from . import __version__
@@ -21,7 +22,7 @@ from .errors import (
     RiemannRelationsViolated,
 )
 from .fp import PrimeContext
-from .lattice import find_polarization, period_matrix, period_report
+from .lattice import DEFAULT_BOUND, find_polarization, period_matrix, period_report
 from .orbits import burnside_count, orbit_classes, stabilizer
 from .strata import SpectrumProfile, classification_row, stratum_dimension
 
@@ -42,8 +43,8 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _lattice_witness(ctx: PrimeContext, cm: CmType, bound: int) -> dict:
-    doc, report = period_report(period_matrix(find_polarization(ctx, cm, bound)))
+def _lattice_witness(cm: CmType, bound: int) -> dict:
+    doc, report = period_report(period_matrix(find_polarization(cm.ctx, cm, bound)))
     if not report.all_ok:
         raise InternalCheckFailed(
             f"automorphism checks failed for set {list(cm.members)}: "
@@ -63,15 +64,15 @@ def _checked_orbit_classes(ctx: PrimeContext, cap: int) -> list:
     return classes
 
 
-def run_classify(p: int, with_lattice: bool = False, bound: int = 5,
+def run_classify(p: int, with_lattice: bool = False, bound: int = DEFAULT_BOUND,
                  cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
     ctx = PrimeContext(p)
     classes = _checked_orbit_classes(ctx, cap)
     rows = []
     for cls in classes:
-        row = classification_row(ctx, cls)
+        row = classification_row(cls)
         if with_lattice:
-            row["lattice"] = _lattice_witness(ctx, cls.canonical, bound)
+            row["lattice"] = _lattice_witness(cls.canonical, bound)
         rows.append(row)
     return {"version": __version__, "p": ctx.p, "g": ctx.g,
             "orbit_count": len(rows), "classes": rows}
@@ -87,7 +88,7 @@ def run_orbits(p: int, cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
 def run_stabilizer(p: int, members: tuple[int, ...]) -> dict:
     ctx = PrimeContext(p)
     cm = CmType(ctx, members)
-    stab = stabilizer(ctx, cm)
+    stab = stabilizer(cm)
     return {"p": ctx.p, "set": list(cm.members), "stabilizer": list(stab.elements),
             "order": stab.order, "generator": stab.generator}
 
@@ -98,7 +99,7 @@ def run_dim(q: int, multiplicities: tuple[int, ...]) -> dict:
             "g": profile.g, "r": profile.r, "dim": stratum_dimension(profile)}
 
 
-def run_polarize(p: int, members: tuple[int, ...], bound: int = 5) -> dict:
+def run_polarize(p: int, members: tuple[int, ...], bound: int = DEFAULT_BOUND) -> dict:
     ctx = PrimeContext(p)
     cm = CmType(ctx, members)
     polarization = find_polarization(ctx, cm, bound)
@@ -106,10 +107,10 @@ def run_polarize(p: int, members: tuple[int, ...], bound: int = 5) -> dict:
             "pfaffian": polarization.pfaffian}
 
 
-def run_period(p: int, members: tuple[int, ...], bound: int = 5) -> dict:
+def run_period(p: int, members: tuple[int, ...], bound: int = DEFAULT_BOUND) -> dict:
     ctx = PrimeContext(p)
     cm = CmType(ctx, members)
-    return _lattice_witness(ctx, cm, bound)
+    return _lattice_witness(cm, bound)
 
 
 def run_spectrum(p: int, exponents: tuple[int, ...]) -> dict:
@@ -224,8 +225,28 @@ def render(doc: dict, fmt: str) -> str:
                    for row in table)
 
 
+# The options that take a comma-separated list of integers.
+_LIST_FLAGS = frozenset({"--set", "--exponents", "--mults"})
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser that reads ``--set -1,8,2`` as ``--set=-1,8,2`` for each of
+    its ``list_flags``: argparse takes a value that starts with a dash, and
+    is not a plain negative number, for an option."""
+
+    list_flags = frozenset()
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = list(sys.argv[1:] if args is None else args)
+        end = args.index("--") if "--" in args else len(args)
+        for i in reversed(range(end - 1)):
+            if args[i] in self.list_flags and re.match(r"-[0-9]", args[i + 1]):
+                args[i:i + 2] = [f"{args[i]}={args[i + 1]}"]
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="extremalav",
         description="Classify polarized lattice classes with an automorphism "
                     "of maximal prime order and realize them explicitly.",
@@ -237,6 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         """A subcommand: its help, its options, then ``--format``; ``run``
         maps the parsed arguments to the output document."""
         cmd = sub.add_parser(name, help=help_text)
+        cmd.list_flags = _LIST_FLAGS & options.keys()
         for flag, kwargs in options.items():
             cmd.add_argument(flag, **kwargs)
         cmd.add_argument("--format", choices=("json", "csv", "table"), default="json")
@@ -245,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_arg = {"type": int, "required": True, "help": "odd prime p = 2g+1"}
     set_arg = {"required": True, "help": "comma-separated ascending residues"}
-    bound_arg = {"type": int, "default": 5, "help": "coefficient box half-width"}
+    bound_arg = {"type": int, "default": DEFAULT_BOUND, "help": "coefficient box half-width"}
     cap_arg = {"type": int, "default": DEFAULT_ENUMERATION_CAP,
                "help": "refuse enumerations beyond this many CM types"}
 

@@ -89,4 +89,4 @@ def spectrum_class(ctx: PrimeContext, spectrum) -> dict:
         support = tuple(sorted(spectrum))
     if not is_cm_type(ctx, support):
         raise ValueError(f"support is not a CM type mod {ctx.p}: {list(support)}")
-    return classification_row(ctx, orbit_class(ctx, CmType(ctx, support)))
+    return classification_row(orbit_class(CmType(ctx, support)))

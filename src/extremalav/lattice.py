@@ -42,6 +42,8 @@ from .fp import PrimeContext, is_int, read_int
 
 ALGEBRAIC_TOL = 1e-9
 COMPOSED_TOL = 1e-8
+#: Half-width of the coefficient box that ``find_polarization`` searches.
+DEFAULT_BOUND = 5
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +224,9 @@ def gram_matrix(ctx: PrimeContext, c) -> np.ndarray:
     return _odd_table(ctx, c)[(k - k[:, None]) % ctx.p]
 
 
-def _sines(ctx: PrimeContext, cm: CmType) -> np.ndarray:
+def _sines(cm: CmType) -> np.ndarray:
     """sin(2 pi j k / p), one row per member j of the CM type, k = 1..g."""
-    return np.sin(2 * np.pi * np.outer(cm.members, np.arange(1, ctx.g + 1)) / ctx.p)
+    return np.sin(2 * np.pi * np.outer(cm.members, np.arange(1, cm.ctx.g + 1)) / cm.ctx.p)
 
 
 def _weights(g: int) -> np.ndarray:
@@ -273,7 +275,6 @@ class PolarizationForm:
     symplectic basis, so each form is reduced once.
     """
 
-    ctx: PrimeContext
     cm_type: CmType
     c: tuple[int, ...]
     gram: np.ndarray
@@ -291,17 +292,18 @@ class PolarizationForm:
         return abs(self.pfaffian) == 1 and all(v > 0 for v in self.alpha_imag)
 
 
-def build_polarization(ctx: PrimeContext, cm: CmType, c) -> PolarizationForm:
+def build_polarization(cm: CmType, c) -> PolarizationForm:
     """Assemble the form data for a coefficient vector, without any gating."""
-    gram = gram_matrix(ctx, c)
-    c = tuple(gram[0, 1:ctx.g + 1])  # row 0 is the odd table: 0, c_1, ..., c_g, ...
-    alpha_imag = 2.0 / ctx.p * (_sines(ctx, cm) @ np.array(c, dtype=np.float64))
+    gram = gram_matrix(cm.ctx, c)
+    c = tuple(gram[0, 1:cm.ctx.g + 1])  # row 0 is the odd table: 0, c_1, ..., c_g, ...
+    alpha_imag = 2.0 / cm.ctx.p * (_sines(cm) @ np.array(c, dtype=np.float64))
     T, pivots, det_T = _skew_reduce(gram)
-    return PolarizationForm(ctx, cm, c, gram, tuple(alpha_imag.tolist()),
+    return PolarizationForm(cm, c, gram, tuple(alpha_imag.tolist()),
                             det_T * math.prod(pivots), T, tuple(pivots))
 
 
-def find_polarization(ctx: PrimeContext, cm: CmType, bound: int = 5) -> PolarizationForm:
+def find_polarization(ctx: PrimeContext, cm: CmType,
+                      bound: int = DEFAULT_BOUND) -> PolarizationForm:
     """First coefficient vector in the box [-bound, bound]**g (lexicographic
     order) whose form is unimodular and positive on every selected embedding.
 
@@ -330,15 +332,17 @@ def find_polarization(ctx: PrimeContext, cm: CmType, bound: int = 5) -> Polariza
     once, and its congruence reduction gives both the exact Pfaffian and,
     later, the symplectic basis.
 
-    Raises ``PolarizationNotFound`` when the box is exhausted.
+    Raises ``PolarizationNotFound`` when the box is exhausted; ``cm`` must be mod ``ctx``.
     """
+    if cm.ctx != ctx:
+        raise ValueError(f"prime context p = {ctx.p} does not match CM type mod {cm.ctx.p}")
     bound = read_int(bound, "bound")
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     g, p = ctx.g, ctx.p
     width = 2 * bound + 1
     t = next((t for t in range(g, 1, -1) if width ** t <= 1 << 14), 1)
-    sines = _sines(ctx, cm)
+    sines = _sines(cm)
     unit_product = math.sqrt(p) / 2**g  # prod_j s_j when |Pf| = 1
     tails = np.empty((t,) + (width,) * t)  # one column per tail, as floats
     for i in range(t):
@@ -349,7 +353,7 @@ def find_polarization(ctx: PrimeContext, cm: CmType, bound: int = 5) -> Polariza
         positive = np.flatnonzero((tail_signs > -shift).all(axis=0))
         products = (tail_signs[:, positive] + shift).prod(axis=0)
         for idx in positive[np.abs(products - unit_product) < unit_product / 2]:
-            form = build_polarization(ctx, cm, (*head, *map(int, tails[:, idx])))
+            form = build_polarization(cm, (*head, *map(int, tails[:, idx])))
             if abs(form.pfaffian) == 1:
                 return form
     raise PolarizationNotFound(
@@ -403,7 +407,7 @@ def period_matrix(polarization: PolarizationForm) -> PeriodData:
     and with mixed signs the form polarizes no complex structure on this CM
     type.  Raises ``RiemannRelationsViolated`` naming the quantity that failed.
     """
-    ctx, cm = polarization.ctx, polarization.cm_type
+    ctx, cm = polarization.cm_type.ctx, polarization.cm_type
     E = polarization.gram
     g = ctx.g
     U = _symplectic_layout(E, polarization.reduction, polarization.pivots)
@@ -481,7 +485,7 @@ def automorphism_check(data: PeriodData) -> AutomorphismReport:
     the period point: it preserves the form, has order p, acts symplectically
     on the chosen basis, fixes tau, and has the prescribed eigenvalues."""
     pol = data.polarization
-    p, g = pol.ctx.p, pol.ctx.g
+    p, g = pol.cm_type.ctx.p, pol.cm_type.ctx.g
     E, R = pol.gram, data.R
 
     # M^T E M is ((E M)^T M)^T, two shifts, and J R is the swap [R_2; -R_1].
@@ -524,7 +528,7 @@ def period_report(data: PeriodData) -> tuple[dict, AutomorphismReport]:
     report = automorphism_check(data)
     pol = data.polarization
     doc = {
-        "p": pol.ctx.p,
+        "p": pol.cm_type.ctx.p,
         "set": list(pol.cm_type.members),
         "c": list(pol.c),
         "pfaffian": pol.pfaffian,

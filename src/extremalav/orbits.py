@@ -31,18 +31,18 @@ WORD_BITS = 64
 CHUNK = 1 << 16
 
 
-def act(ctx: PrimeContext, k: int, cm: CmType) -> CmType:
+def act(k: int, cm: CmType) -> CmType:
     """Translate a CM type by the unit k: every member s becomes k*s mod p."""
-    k = ctx.check_residue(k)
-    return CmType(ctx, tuple(k * s % ctx.p for s in cm.members))
+    k = cm.ctx.check_residue(k)
+    return CmType(cm.ctx, tuple(k * s % cm.ctx.p for s in cm.members))
 
 
-def canonical_form(ctx: PrimeContext, cm: CmType) -> CmType:
+def canonical_form(cm: CmType) -> CmType:
     """The lexicographically smallest translate of ``cm``, via ``orbit_class``.
 
     Orbit-constant by construction, hence a canonical orbit representative.
     """
-    return orbit_class(ctx, cm).canonical
+    return orbit_class(cm).canonical
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class Stabilizer:
         }
 
 
-def stabilizer(ctx: PrimeContext, cm: CmType) -> Stabilizer:
+def stabilizer(cm: CmType) -> Stabilizer:
     """Stabilizer of ``cm`` under translation, with its smallest generator.
 
     Its order is the number of units k that map every member into the type
@@ -71,9 +71,9 @@ def stabilizer(ctx: PrimeContext, cm: CmType) -> Stabilizer:
     the subgroup order.  -1 never stabilizes a CM type (it maps the type
     onto its complement), so the order always divides g.
     """
-    p, members = ctx.p, cm.members
+    p, members = cm.ctx.p, cm.members
     fixed = frozenset(members)
-    return _subgroup(ctx, sum(all(k * s % p in fixed for s in members) for k in range(1, p)))
+    return _subgroup(cm.ctx, sum(all(k * s % p in fixed for s in members) for k in range(1, p)))
 
 
 def _subgroup(ctx: PrimeContext, order: int) -> Stabilizer:
@@ -100,7 +100,7 @@ class OrbitClass:
         }
 
 
-def orbit_class(ctx: PrimeContext, cm: CmType) -> OrbitClass:
+def orbit_class(cm: CmType) -> OrbitClass:
     """The class of ``cm``, read off its sorted translates by k = 1..p-1:
     the smallest is the canonical form, and those equal to ``cm`` count the
     stabilizer.
@@ -108,10 +108,10 @@ def orbit_class(ctx: PrimeContext, cm: CmType) -> OrbitClass:
     The group is abelian, so every member of the orbit has the stabilizer of
     ``cm``.
     """
-    p = ctx.p
+    p = cm.ctx.p
     translates = [tuple(sorted(k * s % p for s in cm.members)) for k in range(1, p)]
-    stab = _subgroup(ctx, translates.count(translates[0]))
-    return OrbitClass(CmType(ctx, min(translates)), (p - 1) // stab.order, stab)
+    stab = _subgroup(cm.ctx, translates.count(translates[0]))
+    return OrbitClass(CmType(cm.ctx, min(translates)), (p - 1) // stab.order, stab)
 
 
 def _byte_tables(targets: list[int]) -> np.ndarray:

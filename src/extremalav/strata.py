@@ -76,20 +76,20 @@ def stratum_dimension(profile: SpectrumProfile) -> int:
     return n[0] * (n[0] + 1) // 2 + sum(n[i] * n[q - i] for i in range(1, (q + 1) // 2))
 
 
-def extremal_profile(ctx: PrimeContext, cm: CmType) -> SpectrumProfile:
+def extremal_profile(cm: CmType) -> SpectrumProfile:
     """Profile of the order-p action itself: n_0 = 0 and n_i = [i in C]."""
-    members = set(cm.members)
-    return SpectrumProfile(ctx.p, tuple(1 if i in members else 0 for i in range(ctx.p)))
+    p, members = cm.ctx.p, set(cm.members)
+    return SpectrumProfile(p, tuple(1 if i in members else 0 for i in range(p)))
 
 
-def is_isolated(ctx: PrimeContext, cm: CmType) -> bool:
+def is_isolated(cm: CmType) -> bool:
     """True iff the class of ``cm`` is an isolated singular point (trivial stabilizer)."""
-    return stabilizer(ctx, cm).order == 1
+    return stabilizer(cm).order == 1
 
 
-def is_simple(ctx: PrimeContext, cm: CmType) -> bool:
+def is_simple(cm: CmType) -> bool:
     """True iff the underlying torus is simple; coincides with ``is_isolated``."""
-    return is_isolated(ctx, cm)
+    return is_isolated(cm)
 
 
 class SumVerdict(enum.Enum):
@@ -97,26 +97,27 @@ class SumVerdict(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-def sum_criterion(ctx: PrimeContext, cm: CmType) -> SumVerdict:
+def sum_criterion(cm: CmType) -> SumVerdict:
     """Cheap sufficient test: members summing to a nonzero residue force a
     trivial stabilizer (a stabilizer element u != 1 would scale the sum by u).
     """
-    if sum(cm.members) % ctx.p != 0:
+    if sum(cm.members) % cm.ctx.p != 0:
         return SumVerdict.GUARANTEED_TRIVIAL
     return SumVerdict.INCONCLUSIVE
 
 
-def stabilizer_element_profile(ctx: PrimeContext, cm: CmType, u: int) -> SpectrumProfile:
+def stabilizer_element_profile(cm: CmType, u: int) -> SpectrumProfile:
     """Eigenvalue profile of a prime-order stabilizer element u acting on the members.
 
     Multiplication by u permutes the members without fixed points, so they
     fall into g/q cycles of length q = ord(u) and every q-th root of unity
     occurs with multiplicity g/q.
     """
+    ctx = cm.ctx
     u = ctx.check_residue(u)
     if u == 1:
         raise ValueError("u = 1 carries no stratum information")
-    if act(ctx, u, cm) != cm:
+    if act(u, cm) != cm:
         raise ValueError(f"{u} does not stabilize {list(cm.members)} mod {ctx.p}")
     q = element_order(ctx, u)
     if not is_prime(q):
@@ -142,13 +143,13 @@ class StratumReport:
         }
 
 
-def containing_strata(ctx: PrimeContext, cm: CmType) -> list[StratumReport]:
+def containing_strata(cm: CmType) -> list[StratumReport]:
     """One stratum report per prime divisor q of the stabilizer order.
 
     For each q the witness theta is the smallest stabilizer element of order
     q.  Empty exactly when the class is isolated.
     """
-    return _strata(ctx, stabilizer(ctx, cm).order)
+    return _strata(cm.ctx, stabilizer(cm).order)
 
 
 def _strata(ctx: PrimeContext, order: int) -> list[StratumReport]:
@@ -162,13 +163,13 @@ def _strata(ctx: PrimeContext, order: int) -> list[StratumReport]:
     return reports
 
 
-def classification_row(ctx: PrimeContext, cls: OrbitClass) -> dict:
+def classification_row(cls: OrbitClass) -> dict:
     """The classify row of an orbit class: its JSON, then the verdict.
 
     The verdict comes from the class's own stabilizer order; a trivial one
     has no containing strata, and ``_strata`` returns at once for it.
     """
-    order = cls.stabilizer.order
+    order, ctx = cls.stabilizer.order, cls.canonical.ctx
     row = cls.to_json()
     row["isolated"] = row["simple"] = order == 1
     row["sum_mod_p"] = sum(cls.canonical.members) % ctx.p

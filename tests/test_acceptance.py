@@ -63,14 +63,14 @@ def test_01_four_classes_at_p11(capsys):
 
 def test_02_isolation_flags_at_p11():
     ctx = PrimeContext(11)
-    flags = [is_isolated(ctx, CmType(ctx, members)) for members in P11_CLASSES]
+    flags = [is_isolated(CmType(ctx, members)) for members in P11_CLASSES]
     verdict(2, "first three p = 11 classes isolated, the last not",
             flags == [True, True, True, False], f"got {flags}")
 
 
 def test_03_last_class_stratum():
     ctx = PrimeContext(11)
-    strata = containing_strata(ctx, CmType(ctx, (1, 3, 4, 5, 9)))
+    strata = containing_strata(CmType(ctx, (1, 3, 4, 5, 9)))
     ok = (
         len(strata) == 1
         and strata[0].q == 5
@@ -86,7 +86,7 @@ def test_04_extremal_profiles_are_rigid():
     for p in (3, 5, 7, 11, 13):
         ctx = PrimeContext(p)
         for cm in enumerate_cm_types(ctx):
-            if stratum_dimension(extremal_profile(ctx, cm)) != 0:
+            if stratum_dimension(extremal_profile(cm)) != 0:
                 bad.append((p, cm.members))
     verdict(4, "every maximal-order profile spans a zero-dimensional stratum (p <= 13)",
             not bad, f"violations: {bad[:5]}")
@@ -98,8 +98,8 @@ def test_05_sum_criterion_sound():
         ctx = PrimeContext(p)
         for cm in enumerate_cm_types(ctx):
             if (
-                sum_criterion(ctx, cm) is SumVerdict.GUARANTEED_TRIVIAL
-                and stabilizer(ctx, cm).order != 1
+                sum_criterion(cm) is SumVerdict.GUARANTEED_TRIVIAL
+                and stabilizer(cm).order != 1
             ):
                 bad.append((p, cm.members))
     for p in range(3, 200, 2):
@@ -107,7 +107,7 @@ def test_05_sum_criterion_sound():
             continue
         ctx = PrimeContext(p)
         first_half = CmType(ctx, tuple(range(1, ctx.g + 1)))
-        if not is_isolated(ctx, first_half):
+        if not is_isolated(first_half):
             bad.append((p, "initial interval"))
     verdict(5, "nonzero member sum guarantees trivial stabilizer; {1..g} isolated to p = 199",
             not bad, f"violations: {bad[:5]}")
@@ -180,10 +180,10 @@ def test_09_cover_spectra():
     bad = []
 
     sp = cw_spectrum(CyclicCoverSpec(ctx, (2, 8, 1)))
-    if canonical_form(ctx, CmType(ctx, spectrum_support(sp))).members != (1, 2, 3, 4, 6):
+    if canonical_form(CmType(ctx, spectrum_support(sp))).members != (1, 2, 3, 4, 6):
         bad.append("(2,8,1) support class")
     sp = cw_spectrum(CyclicCoverSpec(ctx, (1, 1, 9)))
-    if canonical_form(ctx, CmType(ctx, spectrum_support(sp))).members != (1, 2, 3, 4, 5):
+    if canonical_form(CmType(ctx, spectrum_support(sp))).members != (1, 2, 3, 4, 5):
         bad.append("(1,1,9) support class")
 
     for p in (5, 7, 11, 13):
@@ -208,17 +208,17 @@ def test_10_structural_properties():
     for p in (3, 5, 7, 11, 13, 17, 19):
         ctx = PrimeContext(p)
         for cm in enumerate_cm_types(ctx):
-            rep = canonical_form(ctx, cm)
+            rep = canonical_form(cm)
             for k in range(1, p):
-                moved = act(ctx, k, cm)
+                moved = act(k, cm)
                 if len(moved.members) != ctx.g:
                     bad.append((p, cm.members, k, "size"))
-                if canonical_form(ctx, moved) != rep:
+                if canonical_form(moved) != rep:
                     bad.append((p, cm.members, k, "canonical"))
         for cls in orbit_classes(ctx):
             if cls.orbit_size * cls.stabilizer.order != p - 1:
                 bad.append((p, cls.canonical.members, "orbit-stabilizer"))
-            for srep in containing_strata(ctx, cls.canonical):
+            for srep in containing_strata(cls.canonical):
                 prof = srep.profile
                 if prof.g != ctx.g:
                     bad.append((p, cls.canonical.members, "profile total"))

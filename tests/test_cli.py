@@ -317,6 +317,28 @@ def test_invalid_input_exits_2(capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("stabilizer", "--p", "7", "--set", "-1,8,2"), "residue out of range 1..6: 8"),
+        (("spectrum", "--p", "7", "--exponents", "-1,2"), "residue out of range 1..6: -1"),
+        (("dim", "--q", "3", "--mults", "-1,2,2"),
+         "inconsistent spectrum: need 3 multiplicities >= 0"),
+    ],
+    ids=["set", "exponents", "mults"],
+)
+def test_negative_first_list_value_is_read_as_the_value(capsys, argv, err):
+    """``--set -1,8,2`` behaves as ``--set=-1,8,2``, although argparse alone
+    takes a value that starts with a dash for an option."""
+    results = []
+    for spelling in (argv, (*argv[:-2], f"{argv[-2]}={argv[-1]}")):
+        try:
+            results.append(run(capsys, *spelling))
+        except SystemExit as exc:
+            results.append((exc.code, *capsys.readouterr()))
+    assert results[0] == results[1] == (2, "", f"error: {err}\n")
+
+
 def test_cap_exceeded_exits_3(capsys):
     code, _, err = run(capsys, "classify", "--p", "53")
     assert code == 3
@@ -356,7 +378,7 @@ def test_degenerate_witness_exits_5(capsys, monkeypatch):
     """Riemann relation failures inside the period pipeline map to exit 5."""
 
     def degenerate(ctx, cm, bound=5):
-        return build_polarization(ctx, cm, (1, 1, 1))
+        return build_polarization(cm, (1, 1, 1))
 
     monkeypatch.setattr(cli, "find_polarization", degenerate)
     code, out, err = run(capsys, "period", "--p", "7", "--set", "1,2,3")

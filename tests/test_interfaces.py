@@ -1,6 +1,7 @@
 """The names other code relies on: the package exports and the benchmark's
 traced entry points."""
 
+import inspect
 import json
 import os
 import re
@@ -9,6 +10,7 @@ import sys
 from pathlib import Path
 
 import extremalav
+from extremalav import CmType, OrbitClass, PrimeContext
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,6 +28,33 @@ def test_integer_inputs_are_tested_only_in_fp():
              for path in sorted((ROOT / "src" / "extremalav").glob("*.py")) if path.name != "fp.py"
              for n, line in enumerate(path.read_text().splitlines(), 1) if rule.search(line)]
     assert found == []
+
+
+def test_the_prime_is_passed_once():
+    """An exported callable takes a ``PrimeContext`` only when none of its
+    other parameters carries the prime, as a CM type and an orbit class do.
+    ``find_polarization`` keeps its ``ctx``: the benchmark's tracer binds it."""
+    found = []
+    for name in extremalav.__all__:
+        obj = getattr(extremalav, name)
+        if not callable(obj) or name == "find_polarization" or (
+                isinstance(obj, type) and issubclass(obj, Exception)):
+            continue
+        annotations = {p.annotation for p in inspect.signature(obj).parameters.values()}
+        if PrimeContext in annotations and annotations & {CmType, OrbitClass}:
+            found.append(name)
+    assert found == []
+
+
+def test_readme_library_examples():
+    """The README's ``python`` blocks run in order in one namespace, as a
+    reader would paste them."""
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(block, namespace)
 
 
 def test_traced_bench_child_runs(tmp_path):

@@ -371,7 +371,7 @@ def test_gram_matrix_structure():
 def test_alpha_imag_against_complex_arithmetic():
     for p, members, c in [(7, (1, 2, 3), (1, -1, 1)), (11, (1, 3, 4, 5, 9), (0, -1, 0, 1, 1))]:
         ctx = PrimeContext(p)
-        pol = build_polarization(ctx, CmType(ctx, members), c)
+        pol = build_polarization(CmType(ctx, members), c)
         full = c_extended(p, c)
         xi = cmath.exp(2j * cmath.pi / p)
         for j, got in zip(members, pol.alpha_imag):
@@ -428,7 +428,7 @@ def test_find_polarization_returns_lexicographic_first():
     cm = CmType(ctx, (1, 2, 4))
     found = find_polarization(ctx, cm, bound=1)
     for c in itertools.product((-1, 0, 1), repeat=3):
-        pol = build_polarization(ctx, cm, c)
+        pol = build_polarization(cm, c)
         if pol.is_principal_positive:
             assert pol.c == found.c
             break
@@ -476,6 +476,13 @@ def test_find_polarization_bad_bound():
             find_polarization(ctx, CmType(ctx, (1, 2, 3)), bound=bound)
 
 
+def test_find_polarization_rejects_a_foreign_prime():
+    """A CM type mod 7 searched with the context of 11 is refused by name; it
+    used to fail inside the box with "repeat argument cannot be negative"."""
+    with pytest.raises(ValueError, match=r"^prime context p = 11 does not match CM type mod 7$"):
+        find_polarization(PrimeContext(11), CmType(PrimeContext(7), (1, 2, 4)))
+
+
 def reduction_with_pfaffian_3(E):
     """Stands in for the congruence reduction: pivots 3, 1, 1, ... and
     det T = 1, so every form built from it has Pfaffian 3."""
@@ -518,7 +525,7 @@ def skipped_heads_fail_the_compare(p, members, bound=5) -> int:
     ctx = PrimeContext(p)
     cm = CmType(ctx, members)
     g, t = ctx.g, tail_count(ctx.g, bound)
-    sines = lattice._sines(ctx, cm)
+    sines = lattice._sines(cm)
     winner = find_polarization(ctx, cm, bound).c[:g - t]
     live = set(itertools.takewhile(lambda head: head <= winner,
                                    (head for head, _ in lattice._live_heads(sines, t, bound))))
@@ -610,7 +617,7 @@ def test_pfaffian_closed_form(p):
     [
         lambda ctx, c: gram_matrix(ctx, c),
         lambda ctx, c: riemann_form_value(ctx, c, 0, 1),
-        lambda ctx, c: build_polarization(ctx, CmType(ctx, (1, 2, 3)), c),
+        lambda ctx, c: build_polarization(CmType(ctx, (1, 2, 3)), c),
     ],
     ids=["gram_matrix", "riemann_form_value", "build_polarization"],
 )
@@ -627,7 +634,7 @@ def test_wrong_coefficient_count_raises(call, delta):
     [
         lambda ctx, c: gram_matrix(ctx, c),
         lambda ctx, c: riemann_form_value(ctx, c, 0, 1),
-        lambda ctx, c: build_polarization(ctx, CmType(ctx, (1, 2, 4)), c),
+        lambda ctx, c: build_polarization(CmType(ctx, (1, 2, 4)), c),
     ],
     ids=["gram_matrix", "riemann_form_value", "build_polarization"],
 )
@@ -639,7 +646,7 @@ def test_non_integer_coefficients_raise(call, c):
 
 def test_numpy_integer_coefficients_are_read_as_ints():
     ctx = PrimeContext(7)
-    form = build_polarization(ctx, CmType(ctx, (1, 2, 4)), np.array([0, 1, -1]))
+    form = build_polarization(CmType(ctx, (1, 2, 4)), np.array([0, 1, -1]))
     assert form.c == (0, 1, -1) and {*map(type, form.c)} == {int}
     assert form.pfaffian == -1
 
@@ -647,7 +654,7 @@ def test_numpy_integer_coefficients_are_read_as_ints():
 def test_build_polarization_validates_length():
     ctx = PrimeContext(7)
     with pytest.raises(ValueError):
-        build_polarization(ctx, CmType(ctx, (1, 2, 3)), (1, -1))
+        build_polarization(CmType(ctx, (1, 2, 3)), (1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +735,7 @@ def test_exact_checks_fail_on_tampered_input(p):
 def pipeline(p, members, c=None, bound=5):
     ctx = PrimeContext(p)
     cm = CmType(ctx, members)
-    pol = build_polarization(ctx, cm, c) if c else find_polarization(ctx, cm, bound)
+    pol = build_polarization(cm, c) if c else find_polarization(ctx, cm, bound)
     return period_matrix(pol)
 
 
@@ -833,7 +840,7 @@ def test_sign_rule_picks_the_block_convention(p):
     """
     ctx = PrimeContext(p)
     for c, members, swapped in sign_rule_cases(p):
-        pol = build_polarization(ctx, CmType(ctx, sorted(members)), c)
+        pol = build_polarization(CmType(ctx, sorted(members)), c)
         assert abs(pol.pfaffian) == 1
         if swapped is None:
             with pytest.raises(RiemannRelationsViolated, match="mixed signs"):

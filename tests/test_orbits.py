@@ -25,44 +25,44 @@ LARGER_PRIMES = [17, 19, 23, 29]
 
 def brute_fixed_count(ctx, k):
     """Oracle for the closed form: count CM types fixed by k, by enumeration."""
-    return sum(1 for cm in enumerate_cm_types(ctx) if act(ctx, k, cm) == cm)
+    return sum(1 for cm in enumerate_cm_types(ctx) if act(k, cm) == cm)
 
 
 def test_act_example():
     ctx = PrimeContext(11)
     cm = CmType(ctx, (4, 5, 8, 9, 10))
-    assert act(ctx, 9, cm).members == (1, 2, 3, 4, 6)
+    assert act(9, cm).members == (1, 2, 3, 4, 6)
 
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)
 def test_act_is_a_group_action(p):
     ctx = PrimeContext(p)
     for cm in enumerate_cm_types(ctx):
-        assert act(ctx, 1, cm) == cm
+        assert act(1, cm) == cm
         for k in range(2, p):
-            moved = act(ctx, k, cm)
+            moved = act(k, cm)
             inv = pow(k, -1, p)
-            assert act(ctx, inv, moved) == cm
+            assert act(inv, moved) == cm
 
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)
 def test_canonical_form_constant_on_orbits(p):
     ctx = PrimeContext(p)
     for cm in enumerate_cm_types(ctx):
-        rep = canonical_form(ctx, cm)
-        assert all(canonical_form(ctx, act(ctx, k, cm)) == rep for k in range(1, p))
+        rep = canonical_form(cm)
+        assert all(canonical_form(act(k, cm)) == rep for k in range(1, p))
         # the representative is the lexicographic minimum of the orbit
-        assert rep.members == min(act(ctx, k, cm).members for k in range(1, p))
+        assert rep.members == min(act(k, cm).members for k in range(1, p))
 
 
 def test_stabilizer_examples():
     ctx = PrimeContext(11)
-    triv = stabilizer(ctx, CmType(ctx, (1, 2, 3, 4, 5)))
+    triv = stabilizer(CmType(ctx, (1, 2, 3, 4, 5)))
     assert triv.elements == (1,)
     assert triv.order == 1
     assert triv.generator == 1
 
-    c4 = stabilizer(ctx, CmType(ctx, (1, 3, 4, 5, 9)))
+    c4 = stabilizer(CmType(ctx, (1, 3, 4, 5, 9)))
     assert c4.elements == (1, 3, 4, 5, 9)
     assert c4.order == 5
     assert c4.generator == 3
@@ -74,11 +74,11 @@ def test_stabilizer_structure(p):
     """Stabilizers are cyclic subgroups that never contain -1."""
     ctx = PrimeContext(p)
     for cm in enumerate_cm_types(ctx):
-        stab = stabilizer(ctx, cm)
+        stab = stabilizer(cm)
         assert p - 1 not in stab.elements
         assert stab.elements == subgroup_generated(ctx, stab.generator)
         assert element_order(ctx, stab.generator) == stab.order
-        assert all(act(ctx, u, cm) == cm for u in stab.elements)
+        assert all(act(u, cm) == cm for u in stab.elements)
 
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)
@@ -139,7 +139,7 @@ def test_sweep_agrees_with_single_type_answers(p):
     class that the single-type answer gives for its canonical form."""
     ctx = PrimeContext(p)
     for cls in orbit_classes(ctx):
-        assert orbit_class(ctx, cls.canonical) == cls
+        assert orbit_class(cls.canonical) == cls
 
 
 @pytest.mark.parametrize("p", SMALL_PRIMES + LARGER_PRIMES[:-1])
@@ -147,8 +147,8 @@ def test_sweep_equals_bruteforce_reference(p):
     """Every class, in order, as grouping all 2**g CM types by their
     single-type canonical form gives it."""
     ctx = PrimeContext(p)
-    sizes = Counter(canonical_form(ctx, cm) for cm in enumerate_cm_types(ctx))
-    expected = [OrbitClass(rep, size, stabilizer(ctx, rep))
+    sizes = Counter(canonical_form(cm) for cm in enumerate_cm_types(ctx))
+    expected = [OrbitClass(rep, size, stabilizer(rep))
                 for rep, size in sorted(sizes.items(), key=lambda item: item[0].members)]
     assert orbit_classes(ctx) == expected
 
@@ -167,12 +167,12 @@ def test_word_translation_matches_act(p):
     assert orbits._members(ctx, words) == [cm.members for cm in types]
     for k in (2, 3, p - 2):
         moved = orbits._members(ctx, orbits._permute(orbits._translation(p, k), words))
-        assert moved == [act(ctx, k, cm).members for cm in types]
+        assert moved == [act(k, cm).members for cm in types]
 
 
 def test_orbit_class_of_a_translate():
     ctx = PrimeContext(11)
-    cls = orbit_class(ctx, CmType(ctx, (2, 6, 7, 8, 10)))  # 2 * (1, 3, 4, 5, 9)
+    cls = orbit_class(CmType(ctx, (2, 6, 7, 8, 10)))  # 2 * (1, 3, 4, 5, 9)
     assert cls.canonical.members == (1, 3, 4, 5, 9)
     assert (cls.orbit_size, cls.stabilizer.elements, cls.stabilizer.generator) == (
         2, (1, 3, 4, 5, 9), 3)
@@ -203,16 +203,16 @@ def test_stabilizer_of_any_type_matches_bruteforce(p):
     types += [_coset_union(p, n, rng) for n in range(3, g + 1, 2) if g % n == 0]
     canonical = 0
     for members in types:
-        cm = act(ctx, rng.randrange(1, p), CmType(ctx, members))
-        canonical += cm == canonical_form(ctx, cm)
-        fixers = tuple(k for k in range(1, p) if act(ctx, k, cm) == cm)
-        stab = stabilizer(ctx, cm)
+        cm = act(rng.randrange(1, p), CmType(ctx, members))
+        canonical += cm == canonical_form(cm)
+        fixers = tuple(k for k in range(1, p) if act(k, cm) == cm)
+        stab = stabilizer(cm)
         assert stab.elements == fixers
         assert stab.order == len(fixers)
         assert stab.generator == min(k for k in fixers if element_order(ctx, k) == len(fixers))
-        assert orbit_class(ctx, cm).stabilizer == stab
+        assert orbit_class(cm).stabilizer == stab
     assert canonical < len(types)
-    assert max(stabilizer(ctx, CmType(ctx, m)).order for m in types) > 1
+    assert max(stabilizer(CmType(ctx, m)).order for m in types) > 1
 
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)

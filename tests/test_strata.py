@@ -110,7 +110,7 @@ def test_extremal_profiles_are_rigid(p):
     """Every CM type sits at a zero-dimensional point of its own stratum."""
     ctx = PrimeContext(p)
     for cm in enumerate_cm_types(ctx):
-        prof = extremal_profile(ctx, cm)
+        prof = extremal_profile(cm)
         assert prof.q == p
         assert prof.multiplicities[0] == 0
         assert prof.g == ctx.g
@@ -124,9 +124,9 @@ def test_extremal_profiles_are_rigid(p):
 
 def test_isolation_p11():
     ctx = PrimeContext(11)
-    verdicts = [is_isolated(ctx, c.canonical) for c in orbit_classes(ctx)]
+    verdicts = [is_isolated(c.canonical) for c in orbit_classes(ctx)]
     assert verdicts == [True, True, True, False]
-    assert [is_simple(ctx, c.canonical) for c in orbit_classes(ctx)] == verdicts
+    assert [is_simple(c.canonical) for c in orbit_classes(ctx)] == verdicts
 
 
 @pytest.mark.parametrize("p", SMALL_PRIMES + [17, 19])
@@ -134,8 +134,8 @@ def test_isolated_iff_trivial_stabilizer(p):
     ctx = PrimeContext(p)
     for cls in orbit_classes(ctx):
         cm = cls.canonical
-        assert is_isolated(ctx, cm) == (cls.stabilizer.order == 1)
-        assert is_simple(ctx, cm) == is_isolated(ctx, cm)
+        assert is_isolated(cm) == (cls.stabilizer.order == 1)
+        assert is_simple(cm) == is_isolated(cm)
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +147,10 @@ def test_sum_criterion_sound(p):
     """A nonzero member sum must always pin down a trivial stabilizer."""
     ctx = PrimeContext(p)
     for cm in enumerate_cm_types(ctx):
-        verdict = sum_criterion(ctx, cm)
+        verdict = sum_criterion(cm)
         if verdict is SumVerdict.GUARANTEED_TRIVIAL:
             assert sum(cm.members) % p != 0
-            assert stabilizer(ctx, cm).order == 1
+            assert stabilizer(cm).order == 1
         else:
             assert verdict is SumVerdict.INCONCLUSIVE
             assert sum(cm.members) % p == 0
@@ -164,8 +164,8 @@ def test_first_half_interval_always_isolated():
         except ValueError:
             continue
         cm = CmType(ctx, tuple(range(1, ctx.g + 1)))
-        assert sum_criterion(ctx, cm) is SumVerdict.GUARANTEED_TRIVIAL
-        assert is_isolated(ctx, cm)
+        assert sum_criterion(cm) is SumVerdict.GUARANTEED_TRIVIAL
+        assert is_isolated(cm)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +175,7 @@ def test_first_half_interval_always_isolated():
 def test_stabilizer_element_profile_c4():
     ctx = PrimeContext(11)
     cm = CmType(ctx, (1, 3, 4, 5, 9))
-    prof = stabilizer_element_profile(ctx, cm, 3)
+    prof = stabilizer_element_profile(cm, 3)
     assert prof.q == 5
     assert prof.multiplicities == (1, 1, 1, 1, 1)
     assert stratum_dimension(prof) == 3
@@ -185,23 +185,23 @@ def test_stabilizer_element_profile_rejects():
     ctx = PrimeContext(11)
     cm = CmType(ctx, (1, 3, 4, 5, 9))
     with pytest.raises(ValueError):
-        stabilizer_element_profile(ctx, cm, 1)  # identity carries no stratum
+        stabilizer_element_profile(cm, 1)  # identity carries no stratum
     with pytest.raises(ValueError):
-        stabilizer_element_profile(ctx, cm, 2)  # does not stabilize
+        stabilizer_element_profile(cm, 2)  # does not stabilize
     ctx19 = PrimeContext(19)
     qr = CmType(ctx19, (1, 4, 5, 6, 7, 9, 11, 16, 17))
     with pytest.raises(ValueError):
-        stabilizer_element_profile(ctx19, qr, 4)  # order 9 is not prime
+        stabilizer_element_profile(qr, 4)  # order 9 is not prime
     with pytest.raises(ValueError, match="residue out of range"):
-        stabilizer_element_profile(ctx, cm, 3.0)
+        stabilizer_element_profile(cm, 3.0)
 
 
 def test_numpy_units_are_read_as_ints():
     ctx = PrimeContext(11)
     cm = CmType(ctx, (1, 3, 4, 5, 9))
-    assert stabilizer_element_profile(ctx, cm, np.int64(3)) == stabilizer_element_profile(ctx, cm, 3)
-    moved = act(ctx, np.int64(2), cm)
-    assert moved == act(ctx, 2, cm) and all(type(k) is int for k in moved.members)
+    assert stabilizer_element_profile(cm, np.int64(3)) == stabilizer_element_profile(cm, 3)
+    moved = act(np.int64(2), cm)
+    assert moved == act(2, cm) and all(type(k) is int for k in moved.members)
 
 
 def _order(p, k):
@@ -231,11 +231,11 @@ def test_stabilizers_and_strata_match_bruteforce():
         orders = set()
         for cls in orbit_classes(ctx):
             cm = cls.canonical
-            fixers = tuple(k for k in range(1, p) if act(ctx, k, cm) == cm)
+            fixers = tuple(k for k in range(1, p) if act(k, cm) == cm)
             stab = cls.stabilizer
             assert stab.elements == fixers
             assert stab.order == len(fixers)
-            assert stabilizer(ctx, cm) == stab
+            assert stabilizer(cm) == stab
             assert stab.generator == min(k for k in fixers if _order(p, k) == len(fixers))
             orders.add(stab.order)
             by_order = {}  # the smallest fixer of each order
@@ -248,21 +248,21 @@ def test_stabilizers_and_strata_match_bruteforce():
                     lengths = _cycle_lengths(p, theta, cm.members)
                     assert set(lengths) == {q}
                     expected.append((q, theta, (len(lengths),) * q))
-            reports = containing_strata(ctx, cm)
+            reports = containing_strata(cm)
             assert [(r.q, r.theta, r.profile.multiplicities) for r in reports] == expected
-            assert classification_row(ctx, cls)["containing_strata"] == [
+            assert classification_row(cls)["containing_strata"] == [
                 r.to_json() for r in reports
             ]
             for r in reports:
-                assert stabilizer_element_profile(ctx, cm, r.theta) == r.profile
+                assert stabilizer_element_profile(cm, r.theta) == r.profile
         if p == 31:
             assert orders == {1, 3, 5, 15}
 
 
 def test_containing_strata_examples():
     ctx = PrimeContext(11)
-    assert containing_strata(ctx, CmType(ctx, (1, 2, 3, 4, 5))) == []
-    (rep,) = containing_strata(ctx, CmType(ctx, (1, 3, 4, 5, 9)))
+    assert containing_strata(CmType(ctx, (1, 2, 3, 4, 5))) == []
+    (rep,) = containing_strata(CmType(ctx, (1, 3, 4, 5, 9)))
     assert rep.to_json() == {
         "q": 5,
         "theta": 3,
@@ -271,7 +271,7 @@ def test_containing_strata_examples():
     }
 
     ctx13 = PrimeContext(13)
-    (rep,) = containing_strata(ctx13, CmType(ctx13, (1, 2, 3, 5, 6, 9)))
+    (rep,) = containing_strata(CmType(ctx13, (1, 2, 3, 5, 6, 9)))
     assert (rep.q, rep.theta, rep.profile.multiplicities, rep.dim) == (
         3,
         3,
@@ -280,7 +280,7 @@ def test_containing_strata_examples():
     )
 
     ctx19 = PrimeContext(19)
-    (rep,) = containing_strata(ctx19, CmType(ctx19, (1, 4, 5, 6, 7, 9, 11, 16, 17)))
+    (rep,) = containing_strata(CmType(ctx19, (1, 4, 5, 6, 7, 9, 11, 16, 17)))
     assert rep.q == 3
     assert rep.theta == 7
     assert rep.profile.multiplicities == (3, 3, 3)
@@ -289,7 +289,7 @@ def test_containing_strata_examples():
 
 def test_classification_row_shape():
     ctx = PrimeContext(11)
-    row = classification_row(ctx, orbit_class(ctx, CmType(ctx, (2, 4, 6, 8, 10))))
+    row = classification_row(orbit_class(CmType(ctx, (2, 4, 6, 8, 10))))
     assert list(row) == ["canonical", "orbit_size", "stabilizer", "stabilizer_order",
                          "isolated", "simple", "sum_mod_p", "containing_strata"]
     assert row["canonical"] == [1, 2, 3, 4, 5]
