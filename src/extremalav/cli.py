@@ -11,6 +11,7 @@ import io
 import json
 import re
 import sys
+from itertools import chain, islice
 
 from . import __version__
 from .cmtypes import DEFAULT_ENUMERATION_CAP, CmType
@@ -23,7 +24,7 @@ from .errors import (
 )
 from .fp import PrimeContext
 from .lattice import DEFAULT_BOUND, find_polarization, period_matrix, period_report
-from .orbits import burnside_count, orbit_classes, stabilizer
+from .orbits import OrbitClass, burnside_count, orbit_classes, stabilizer
 from .strata import SpectrumProfile, classification_row, stratum_dimension
 
 # The exit code of each error class; the module docstring says what they mean.
@@ -64,25 +65,37 @@ def _checked_orbit_classes(ctx: PrimeContext, cap: int) -> list:
     return classes
 
 
+class _Rows:
+    """The rows of a class list, each built by ``make_row`` as it is iterated:
+    no list of rows is held, and the view can be iterated again."""
+
+    def __init__(self, classes: list, make_row):
+        self.classes, self.make_row = classes, make_row
+
+    def __len__(self) -> int:
+        return len(self.classes)
+
+    def __iter__(self):
+        return map(self.make_row, self.classes)
+
+
 def run_classify(p: int, with_lattice: bool = False, bound: int = DEFAULT_BOUND,
                  cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
     ctx = PrimeContext(p)
     classes = _checked_orbit_classes(ctx, cap)
-    rows = []
-    for cls in classes:
-        row = classification_row(cls)
-        if with_lattice:
-            row["lattice"] = _lattice_witness(cls.canonical, bound)
-        rows.append(row)
+    rows = _Rows(classes, classification_row)
+    if with_lattice:  # eager, so that a failed witness exits 5 before any output
+        rows = [{**row, "lattice": _lattice_witness(cls.canonical, bound)}
+                for cls, row in zip(classes, rows)]
     return {"version": __version__, "p": ctx.p, "g": ctx.g,
             "orbit_count": len(rows), "classes": rows}
 
 
 def run_orbits(p: int, cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
     ctx = PrimeContext(p)
-    classes = _checked_orbit_classes(ctx, cap)
+    rows = _Rows(_checked_orbit_classes(ctx, cap), OrbitClass.to_json)
     return {"version": __version__, "p": ctx.p, "g": ctx.g,
-            "orbit_count": len(classes), "classes": [c.to_json() for c in classes]}
+            "orbit_count": len(rows), "classes": rows}
 
 
 def run_stabilizer(p: int, members: tuple[int, ...]) -> dict:
@@ -149,7 +162,12 @@ def _cell(value) -> str:
 _ROW = "\n    "
 _FIELD = _ROW + "  "
 _ELEMENT = _FIELD + "  "
+_NEXT_ELEMENT = "," + _ELEMENT
 _CHUNK_ROWS = 128
+
+
+def _int_list_json(ints: list, decimal=str) -> str:
+    return "[" + _ELEMENT + _NEXT_ELEMENT.join(map(decimal, ints)) + _FIELD + "]" if ints else "[]"
 
 
 def _field_json(value) -> str:
@@ -158,71 +176,87 @@ def _field_json(value) -> str:
         return "true" if value else "false"
     if type(value) is int:
         return str(value)
-    if type(value) is list:
-        if not value:
-            return "[]"
-        if _is_int_list(value):
-            return "[" + _ELEMENT + ("," + _ELEMENT).join(map(str, value)) + _FIELD + "]"
+    if _is_int_list(value):
+        return _int_list_json(value)
     return json.dumps(value, indent=2).replace("\n", _FIELD)
 
 
-def _row_json(row, keys: dict) -> str:
-    """One row as ``json.dumps(indent=2)`` writes it inside ``classes``;
-    ``keys`` holds the encoded row keys of the document."""
-    if type(row) is not dict or not row:
-        return json.dumps(row, indent=2).replace("\n", _ROW)
-    fields = []
-    for key, value in row.items():
-        name = keys.get(key)
-        if name is None:
-            name = keys[key] = json.dumps(key) + ": "
-        fields.append(name + _field_json(value))
-    return "{" + _FIELD + ("," + _FIELD).join(fields) + _ROW + "}"
+def _column_json(values: list) -> list:
+    """One field of each row in a chunk, with one type test for a column of
+    ints, bools or int lists."""
+    kinds = {*map(type, values)}
+    if kinds == {int}:
+        return list(map(str, values))
+    if kinds == {bool}:
+        return ["true" if value else "false" for value in values]
+    if kinds == {list} and {*map(type, chain.from_iterable(values))} <= {int}:
+        # One str() per distinct int: a dict lookup takes a third of its time.
+        decimal = {n: str(n) for n in {*chain.from_iterable(values)}}.__getitem__
+        return [_int_list_json(ints, decimal) for ints in values]
+    return list(map(_field_json, values))
+
+
+def _rows_json(rows: list) -> list:
+    """Rows as ``json.dumps(indent=2)`` writes them inside ``classes``, a
+    column at a time when every row is a dict with the string keys of the
+    first, in its order."""
+    keys = list(rows[0]) if type(rows[0]) is dict else []
+    if {*map(type, keys)} != {str} or any(
+            type(row) is not dict or list(row) != keys for row in rows):
+        return [json.dumps(row, indent=2).replace("\n", _ROW) for row in rows]
+    template = "{" + _FIELD + ("," + _FIELD).join(
+        json.dumps(key).replace("%", "%%") + ": %s" for key in keys) + _ROW + "}"
+    columns = [_column_json([row[key] for row in rows]) for key in keys]
+    return [template % fields for fields in zip(*columns)]
 
 
 def _write_rows_json(doc: dict, sink) -> None:
-    """Write ``json.dumps(doc, indent=2)`` for a document with a ``classes``
-    list, ``_CHUNK_ROWS`` rows (about 60 KB) per write: one write per row, or
+    """Write ``json.dumps(doc, indent=2)`` for a document with ``classes``
+    rows, ``_CHUNK_ROWS`` rows (about 60 KB) per write: one write per row, or
     chunks of a few hundred KB, fragment the heap and raise peak RSS."""
     marker = '\n  "classes": ['
     head, _, tail = json.dumps({**doc, "classes": []}, indent=2).partition(marker + "]")
     sink.write(head + marker)
-    rows, keys = doc["classes"], {}
-    for start in range(0, len(rows), _CHUNK_ROWS):
-        chunk = [_row_json(row, keys) for row in rows[start:start + _CHUNK_ROWS]]
-        sink.write(("," if start else "") + _ROW)
-        sink.write(("," + _ROW).join(chunk))
-    sink.write(("\n  ]" if rows else "]") + tail)
+    rows, separator = iter(doc["classes"]), _ROW
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        sink.write(separator)
+        sink.write(("," + _ROW).join(_rows_json(chunk)))
+        separator = "," + _ROW
+    sink.write(("]" if separator == _ROW else "\n  ]") + tail)
 
 
 def _table(doc: dict) -> list[list[str]]:
     """The header row, then one row of cells per class (or for the document
     itself when it has no ``classes``)."""
-    rows = doc.get("classes")
-    if rows is None:
-        rows = [doc]
-    headers = list(rows[0].keys()) if rows else []
+    rows = [doc] if doc.get("classes") is None else doc["classes"]
+    headers = list(next(iter(rows), {}))
     return [headers, *([_cell(row.get(h)) for h in headers] for row in rows)]
 
 
-def render(doc: dict, fmt: str) -> str:
+def write(doc: dict, fmt: str, sink) -> None:
+    """Write ``doc`` to the text stream ``sink`` in ``fmt``.  JSON rows are
+    built as they are written; csv and table build every cell first."""
     if fmt == "json":
-        sink = io.StringIO()
         # The row writer is exact: json.dumps escapes every newline inside a string.
-        if type(doc.get("classes")) is list:
+        if isinstance(doc.get("classes"), (list, _Rows)):
             _write_rows_json(doc, sink)
         else:
             json.dump(doc, sink, indent=2)
         sink.write("\n")
-        return sink.getvalue()
-    table = _table(doc)
-    if fmt == "csv":
-        sink = io.StringIO()
-        csv.writer(sink, lineterminator="\n").writerows(table)
-        return sink.getvalue()
-    widths = [max(map(len, column)) for column in zip(*table)]
-    return "".join("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() + "\n"
-                   for row in table)
+    elif fmt == "csv":
+        csv.writer(sink, lineterminator="\n").writerows(_table(doc))
+    else:
+        table = _table(doc)
+        widths = [max(map(len, column)) for column in zip(*table)]
+        sink.writelines("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() + "\n"
+                        for row in table)
+
+
+def render(doc: dict, fmt: str) -> str:
+    """``doc`` as ``write`` writes it."""
+    sink = io.StringIO()
+    write(doc, fmt, sink)
+    return sink.getvalue()
 
 
 # The options that take a comma-separated list of integers.
@@ -230,17 +264,20 @@ _LIST_FLAGS = frozenset({"--set", "--exponents", "--mults"})
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser that reads ``--set -1,8,2`` as ``--set=-1,8,2`` for each of
-    its ``list_flags``: argparse takes a value that starts with a dash, and
-    is not a plain negative number, for an option."""
+    """A parser that reads ``--set -1,8,2`` as ``--set=-1,8,2`` for each list
+    flag among its ``long_options``, named in full or by a unique prefix:
+    argparse takes a value that starts with a dash, and is not a plain
+    negative number, for an option."""
 
-    list_flags = frozenset()
+    long_options = ()
 
     def parse_known_args(self, args=None, namespace=None):
         args = list(sys.argv[1:] if args is None else args)
         end = args.index("--") if "--" in args else len(args)
         for i in reversed(range(end - 1)):
-            if args[i] in self.list_flags and re.match(r"-[0-9]", args[i + 1]):
+            names = [name for name in self.long_options if name.startswith(args[i])]
+            flag = args[i] if args[i] in names else names[0] if len(names) == 1 else None
+            if flag in _LIST_FLAGS and re.match(r"-[0-9]", args[i + 1]):
                 args[i:i + 2] = [f"{args[i]}={args[i + 1]}"]
         return super().parse_known_args(args, namespace)
 
@@ -258,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         """A subcommand: its help, its options, then ``--format``; ``run``
         maps the parsed arguments to the output document."""
         cmd = sub.add_parser(name, help=help_text)
-        cmd.list_flags = _LIST_FLAGS & options.keys()
+        cmd.long_options = (*options, "--format")
         for flag, kwargs in options.items():
             cmd.add_argument(flag, **kwargs)
         cmd.add_argument("--format", choices=("json", "csv", "table"), default="json")
@@ -304,7 +341,7 @@ def main(argv=None) -> int:
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
-    sys.stdout.write(render(doc, args.format))
+    write(doc, args.format, sys.stdout)
     return 0
 
 

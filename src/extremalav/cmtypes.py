@@ -12,9 +12,9 @@ from .errors import EnumerationCapExceeded
 from .fp import PrimeContext, read_int
 
 #: Refuse to sweep more than this many CM types.  The orbit sweep holds one
-#: chunk of choice masks plus about 2**g/(p-1) classes, and the classify
-#: output grows with the classes: at the default (p <= 47) a classify run
-#: peaks near 350 MB.
+#: chunk of choice masks plus about 2**g/(p-1) classes, and classify writes
+#: each JSON row as it builds it: at the default (p <= 47) a classify run
+#: peaks near 139 MB.
 DEFAULT_ENUMERATION_CAP = 1 << 24
 
 

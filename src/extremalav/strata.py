@@ -167,11 +167,16 @@ def classification_row(cls: OrbitClass) -> dict:
     """The classify row of an orbit class: its JSON, then the verdict.
 
     The verdict comes from the class's own stabilizer order; a trivial one
-    has no containing strata, and ``_strata`` returns at once for it.
+    has no containing strata.
     """
-    order, ctx = cls.stabilizer.order, cls.canonical.ctx
-    row = cls.to_json()
-    row["isolated"] = row["simple"] = order == 1
-    row["sum_mod_p"] = sum(cls.canonical.members) % ctx.p
-    row["containing_strata"] = [r.to_json() for r in _strata(ctx, order)]
-    return row
+    canonical, stab = cls.canonical, cls.stabilizer
+    return {
+        "canonical": list(canonical.members),
+        "orbit_size": cls.orbit_size,
+        "stabilizer": list(stab.elements),
+        "stabilizer_order": stab.order,
+        "isolated": stab.order == 1, "simple": stab.order == 1,
+        "sum_mod_p": sum(canonical.members) % canonical.ctx.p,
+        "containing_strata": [] if stab.order == 1
+        else [r.to_json() for r in _strata(canonical.ctx, stab.order)],
+    }

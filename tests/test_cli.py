@@ -1,6 +1,7 @@
 """End-to-end command line behavior: envelopes, formats, exit codes."""
 
 import hashlib
+import io
 import json
 import os
 import re
@@ -214,13 +215,45 @@ RENDER_DOCUMENTS = [
     pytest.param(lambda: {"classes": [{"a": 1, "b": [2, 3]}, {"b": None, "c": {"d": [4]}},
                                       {}, [5], 6]},
                  id="differing-rows"),
+    pytest.param(lambda: {"classes": [{"n": 1, "m": True, "l": [1]},
+                                      {"n": True, "m": 0, "l": [True]},
+                                      {"n": 2, "m": 3, "l": [1, 2]}]},
+                 id="ints-and-bools-in-a-column"),
+    pytest.param(lambda: {"classes": [{"a%s": 1, "%": [2], "b%%d": "%s"}, {"a%s": 3, "%": [],
+                                                                          "b%%d": "%d"}]},
+                 id="percent-in-keys"),
+    pytest.param(lambda: {"classes": [{"a": 1, "b": [2]}, {"b": [3], "a": 4}, {"a": 5, "b": []}]},
+                 id="same-keys-other-order"),
+    pytest.param(lambda: {"classes": [*({"a": i, "b": [i, -i]} for i in range(128)),
+                                      {"c": True, "a": 1}, {"c": False, "a": [2]}]},
+                 id="keys-change-after-a-chunk"),
+    pytest.param(lambda: {"classes": [{"n": -1, "l": [-(2**64) - 1, 2**64 + 1]},
+                                      {"n": 2**70, "l": [-2**63, 0]}]},
+                 id="big-and-negative-ints"),
+    pytest.param(lambda: {"classes": [{"l": [], "m": []}, {"l": [], "m": [1]}], "e": []},
+                 id="empty-lists"),
+    pytest.param(lambda: {"classes": [{1: 2, None: [3]}, {1: 4, None: []}]},
+                 id="non-string-keys"),
 ]
 
 
 @pytest.mark.parametrize("make", RENDER_DOCUMENTS)
 def test_json_render_equals_json_dumps(make):
-    doc = make()
-    assert cli.render(doc, "json") == json.dumps(doc, indent=2) + "\n"
+    """``classes`` may be a view that builds its rows as it is iterated, which
+    ``json.dumps`` cannot write: a second document has them as a list."""
+    listed = make()
+    if "classes" in listed:
+        listed["classes"] = list(listed["classes"])
+    assert cli.render(make(), "json") == json.dumps(listed, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("run", [cli.run_classify, cli.run_orbits], ids=["classify", "orbits"])
+def test_streamed_rows_render_again(run):
+    """The rows of a classify or orbits document are built on each pass."""
+    doc = run(13)
+    first = cli.render(doc, "json")
+    assert len(json.loads(first)["classes"]) == doc["orbit_count"] == len(doc["classes"])
+    assert cli.render(doc, "json") == first
 
 
 def test_classify_p37_digest(capsys):
@@ -228,6 +261,25 @@ def test_classify_p37_digest(capsys):
     code, out, _ = run(capsys, "classify", "--p", "37")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6d55c32fa8ff025153a70039d31e755656a3472d6966417c36162825aecf33b1"
+    )
+
+
+def test_classify_writes_its_output_in_pieces(monkeypatch):
+    """``main`` writes classify's JSON to stdout a chunk of rows at a time,
+    not as one rendered string."""
+    sizes = []
+
+    class Sink(io.StringIO):
+        def write(self, text):
+            sizes.append(len(text.encode()))
+            return super().write(text)
+
+    sink = Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(["classify", "--p", "37"]) == 0
+    assert max(sizes) <= 256 * 1024
+    assert hashlib.sha256(sink.getvalue().encode()).hexdigest() == (
         "6d55c32fa8ff025153a70039d31e755656a3472d6966417c36162825aecf33b1"
     )
 
@@ -324,12 +376,17 @@ def test_invalid_input_exits_2(capsys, argv):
         (("spectrum", "--p", "7", "--exponents", "-1,2"), "residue out of range 1..6: -1"),
         (("dim", "--q", "3", "--mults", "-1,2,2"),
          "inconsistent spectrum: need 3 multiplicities >= 0"),
+        (("stabilizer", "--p", "7", "--se", "-1,8,2"), "residue out of range 1..6: 8"),
+        (("spectrum", "--p", "7", "--exp", "-1,2"), "residue out of range 1..6: -1"),
+        (("dim", "--q", "3", "--mul", "-1,2,2"),
+         "inconsistent spectrum: need 3 multiplicities >= 0"),
     ],
-    ids=["set", "exponents", "mults"],
+    ids=["set", "exponents", "mults", "se", "exp", "mul"],
 )
 def test_negative_first_list_value_is_read_as_the_value(capsys, argv, err):
-    """``--set -1,8,2`` behaves as ``--set=-1,8,2``, although argparse alone
-    takes a value that starts with a dash for an option."""
+    """``--set -1,8,2`` behaves as ``--set=-1,8,2``, also with the flag
+    abbreviated, although argparse alone takes a value that starts with a
+    dash for an option."""
     results = []
     for spelling in (argv, (*argv[:-2], f"{argv[-2]}={argv[-1]}")):
         try:

@@ -300,3 +300,11 @@ def test_classification_row_shape():
     assert row["sum_mod_p"] == 4
     assert row["stabilizer_order"] == 1
     assert row["containing_strata"] == []
+
+
+def test_classification_row_starts_with_the_class_json():
+    """The row repeats the class's JSON keys in one dict display; they must
+    not drift apart from ``OrbitClass.to_json``."""
+    for p in [5, 7, 11, 13, 17, 19]:
+        for cls in orbit_classes(PrimeContext(p)):
+            assert list(classification_row(cls).items())[:4] == list(cls.to_json().items())
