@@ -219,8 +219,8 @@ RENDER_DOCUMENTS = [
                                       {"n": True, "m": 0, "l": [True]},
                                       {"n": 2, "m": 3, "l": [1, 2]}]},
                  id="ints-and-bools-in-a-column"),
-    pytest.param(lambda: {"classes": [{"a%s": 1, "%": [2], "b%%d": "%s"}, {"a%s": 3, "%": [],
-                                                                          "b%%d": "%d"}]},
+    pytest.param(lambda: {"classes": [{"a%s": 1, "%": [2], "b%%d": "%s"},
+                                      {"a%s": 3, "%": [], "b%%d": "%d"}]},
                  id="percent-in-keys"),
     pytest.param(lambda: {"classes": [{"a": 1, "b": [2]}, {"b": [3], "a": 4}, {"a": 5, "b": []}]},
                  id="same-keys-other-order"),
