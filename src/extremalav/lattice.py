@@ -20,16 +20,21 @@ does.
 Integer computations are exact and use no rationals: every integer matrix
 (Gram matrix, symplectic basis U, induced automorphism R) is a numpy array of
 Python ints (dtype=object), exact at any size, and the matrices stored on the
-frozen dataclasses are read-only.  Each form is reduced by one integer
-congruence reduction, which the form keeps: it yields both the Pfaffian and
-the symplectic basis, and the induced lattice automorphism is an integer
-matrix product.  Products run in int64 only while a bound on their entries
-proves that no partial sum leaves its range, and on Python ints otherwise.
-Floating point enters only in the polarization prescreen (the head skip and
-the sign compare), whose every hit an exact Pfaffian confirms, and in the
+frozen dataclasses are read-only.  Both halves of Z[xi] = Z[xi+] + xi Z[xi+]
+are Lagrangian for every such form, so each form carries one symmetric
+g x g matrix P, the form between the halves: its Pfaffian is det P, and the
+symplectic basis is the fixed split basis times diag(A, (A^T P)^-1) for any
+basis A of Z[xi+].  One fraction-free elimination gives det P and that
+inverse; the induced lattice automorphism is an integer matrix product.
+Products run in int64 only while a bound on their entries proves that no
+partial sum leaves its range, and on Python ints otherwise.  Floating point
+enters only in the polarization prescreen (the head skip and the sign
+compare), whose every hit an exact Pfaffian confirms, in the LLL reduction
+that picks A (the exact check U^T E U == J judges its result), and in the
 period matrix itself and its verification.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -174,22 +179,100 @@ def symplectic_basis(E) -> np.ndarray:
     """
     E = _even_skew(E, "symplectic_basis")
     T, pivots, _ = _skew_reduce(E)
-    return _symplectic_layout(E, T, pivots)
-
-
-def _symplectic_layout(E: np.ndarray, T: np.ndarray, pivots) -> np.ndarray:
-    """The columns of T, a congruence reduction of E with these pivots,
-    reordered so that U^T E U == standard_symplectic(g), checked exactly."""
     for d in pivots:
         if d == 0:
             raise ValueError("form is degenerate: no symplectic basis")
         if d != 1:
             raise ValueError(f"elementary divisors not all 1 (pivot {d}): form is not principal")
     n = len(E)
-    U = T[:, np.r_[0:n:2, 1:n:2]]
-    if not np.array_equal(_matmul(_matmul(U.T, E), U), standard_symplectic(n // 2)):
-        raise InternalCheckFailed("symplectic reduction failed verification")
+    return _verified_symplectic(T[:, np.r_[0:n:2, 1:n:2]], E)
+
+
+def _verified_symplectic(U: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """U, once U^T E U == standard_symplectic(g) is checked exactly."""
+    if not np.array_equal(_matmul(_matmul(U.T, E), U), standard_symplectic(len(E) // 2)):
+        raise InternalCheckFailed("symplectic basis failed verification")
     return U
+
+
+def _det_adjugate(M) -> tuple[int, np.ndarray | None]:
+    """Determinant and adjugate of a square integer matrix, on Python ints.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss) on [M | I]: every entry
+    after step k is a minor of [M | I], so each division is exact.  The rows
+    stay integer combinations of the rows of [M | I], so when the left block
+    ends as d * I, d the last pivot, the right block L has L M = d I; d is
+    det M up to the sign of the row swaps, and adj M = det M * M^-1 is that
+    sign times L.  A singular M returns (0, None).
+    """
+    n = len(M)
+    X = np.concatenate((np.asarray(M, dtype=object), np.eye(n, dtype=object)), axis=1)
+    sign, previous = 1, 1
+    for k in range(n):
+        rows = np.flatnonzero(X[k:, k]) + k
+        if not rows.size:
+            return 0, None
+        if rows[0] != k:
+            X[[k, rows[0]]] = X[[rows[0], k]]
+            sign = -sign
+        pivot_row = X[k].copy()
+        X = (X[k, k] * X - X[:, k, None] * pivot_row) // previous
+        X[k] = pivot_row
+        previous = pivot_row[k]
+    return sign * previous, sign * X[:, n:]
+
+
+def _lll(G: np.ndarray) -> np.ndarray:
+    """Unimodular integer A whose columns are an LLL-reduced basis
+    (delta = 0.99) of Z**n under the positive-definite Gram matrix G.
+
+    Cohen, GTM 138, Alg. 2.6.3, on inner products only: the Gram-Schmidt
+    coefficients mu and squared lengths B are updated at each size reduction
+    and swap, never recomputed.  A vector that step 2 meets for the first
+    time is still e_k, so its products with the basis are G[k] @ b_j.
+    """
+    n = len(G)
+    G = G.tolist()
+    b = [[int(i == j) for j in range(n)] for i in range(n)]  # b[k]: vector k in the input basis
+    mu = [[0.0] * n for _ in range(n)]
+    B = [G[0][0]] + [0.0] * (n - 1)
+
+    def size_reduce(k, l):
+        q = round(mu[k][l])
+        if q:
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            mu[k][l] -= q
+            for i in range(l):
+                mu[k][i] -= q * mu[l][i]
+
+    k, k_max = 1, 0
+    while k < n:
+        if k > k_max:
+            k_max = k
+            for j in range(k):
+                dot = sum(x * y for x, y in zip(G[k], b[j]))
+                mu[k][j] = (dot - sum(mu[j][i] * mu[k][i] * B[i] for i in range(j))) / B[j]
+            B[k] = G[k][k] - sum(mu[k][j] ** 2 * B[j] for j in range(k))
+        size_reduce(k, k - 1)
+        if B[k] < (0.99 - mu[k][k - 1] ** 2) * B[k - 1]:
+            b[k - 1], b[k] = b[k], b[k - 1]
+            for j in range(k - 1):
+                mu[k - 1][j], mu[k][j] = mu[k][j], mu[k - 1][j]
+            m = mu[k][k - 1]
+            swapped = B[k] + m * m * B[k - 1]
+            mu[k][k - 1] = m * B[k - 1] / swapped
+            B[k] = B[k - 1] * B[k] / swapped
+            B[k - 1] = swapped
+            for i in range(k + 1, k_max + 1):
+                t = mu[i][k]
+                mu[i][k] = mu[i][k - 1] - m * t
+                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+    return np.array(b, dtype=object).T
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +303,13 @@ def riemann_form_value(ctx: PrimeContext, c, a: int, b: int) -> int:
 
 def gram_matrix(ctx: PrimeContext, c) -> np.ndarray:
     """Gram matrix of the form on the power basis."""
-    k = np.arange(ctx.p - 1)
-    return _odd_table(ctx, c)[(k - k[:, None]) % ctx.p]
+    return _gram(_odd_table(ctx, c))
+
+
+def _gram(table: np.ndarray) -> np.ndarray:
+    """Gram matrix on the power basis from the odd table mod p = len(table)."""
+    k = np.arange(len(table) - 1)
+    return table[(k - k[:, None]) % len(table)]
 
 
 def _sines(cm: CmType) -> np.ndarray:
@@ -269,10 +357,9 @@ def _live_heads(sines: np.ndarray, t: int, bound: int):
 class PolarizationForm:
     """An integral alternating form attached to an odd coefficient vector.
 
-    ``reduction`` and ``pivots`` are the congruence reduction of ``gram``:
-    reduction^T gram reduction is block diagonal with blocks [[0, d], [-d, 0]],
-    d = pivots[i].  They give ``pfaffian`` and, in ``period_matrix``, the
-    symplectic basis, so each form is reduced once.
+    ``P`` is the form on the Lagrangian split: on the basis theta_1..theta_g,
+    xi theta_1..xi theta_g of Z[xi] (``_split_basis``) its Gram matrix is
+    [[0, P], [-P, 0]], and ``pfaffian`` is det P.
     """
 
     cm_type: CmType
@@ -280,12 +367,11 @@ class PolarizationForm:
     gram: np.ndarray
     alpha_imag: tuple[float, ...]
     pfaffian: int
-    reduction: np.ndarray
-    pivots: tuple[int, ...]
+    P: np.ndarray
 
     def __post_init__(self):
         self.gram.setflags(write=False)
-        self.reduction.setflags(write=False)
+        self.P.setflags(write=False)
 
     @property
     def is_principal_positive(self) -> bool:
@@ -293,13 +379,23 @@ class PolarizationForm:
 
 
 def build_polarization(cm: CmType, c) -> PolarizationForm:
-    """Assemble the form data for a coefficient vector, without any gating."""
-    gram = gram_matrix(cm.ctx, c)
-    c = tuple(gram[0, 1:cm.ctx.g + 1])  # row 0 is the odd table: 0, c_1, ..., c_g, ...
-    alpha_imag = 2.0 / cm.ctx.p * (_sines(cm) @ np.array(c, dtype=np.float64))
-    T, pivots, det_T = _skew_reduce(gram)
-    return PolarizationForm(cm, c, gram, tuple(alpha_imag.tolist()),
-                            det_T * math.prod(pivots), T, tuple(pivots))
+    """Assemble the form data for a coefficient vector, without any gating.
+
+    With theta_k = xi**k + xi**-k, E(theta_i, xi theta_j) is the sum of the
+    four table entries c[1 + j - i], c[1 - i - j], c[1 + i + j], c[1 + i - j]
+    (indices mod p), which is symmetric in i and j.  E vanishes on real
+    pairs, since the table is odd, and so on each half of the split.
+    Pf(E) = det(split) * (-1)**(g(g-1)/2) * det P, and det(split) cancels the
+    sign, so the Pfaffian is det P exactly.
+    """
+    ctx = cm.ctx
+    table = _odd_table(ctx, c)
+    c = tuple(table[1:ctx.g + 1])
+    alpha_imag = 2.0 / ctx.p * (_sines(cm) @ np.array(c, dtype=np.float64))
+    i, j = np.ogrid[1:ctx.g + 1, 1:ctx.g + 1]
+    P = sum(table[(1 + s * i + t * j) % ctx.p] for s in (-1, 1) for t in (-1, 1))
+    return PolarizationForm(cm, c, _gram(table), tuple(alpha_imag.tolist()),
+                            _det_adjugate(P)[0], P)
 
 
 def find_polarization(ctx: PrimeContext, cm: CmType,
@@ -329,8 +425,7 @@ def find_polarization(ctx: PrimeContext, cm: CmType,
     compares the table with minus its shift before adding anything: for
     finite doubles fl(a + b) > 0 exactly when a > -b, so the tails kept
     are the same, and only they are summed and multiplied.  Each hit is built
-    once, and its congruence reduction gives both the exact Pfaffian and,
-    later, the symplectic basis.
+    once, and det P gives its exact Pfaffian.
 
     Raises ``PolarizationNotFound`` when the box is exhausted; ``cm`` must be mod ``ctx``.
     """
@@ -380,6 +475,22 @@ def _times_xi(X: np.ndarray) -> np.ndarray:
     return np.concatenate((X[:, 1:], -X.sum(axis=1, keepdims=True)), axis=1)
 
 
+@functools.cache
+def _split_basis(p: int) -> np.ndarray:
+    """Power-basis coordinates of theta_1..theta_g, then xi theta_1..xi theta_g,
+    theta_k = xi**k + xi**-k, as columns: a Z-basis of Z[xi] = Z[xi+] +
+    xi Z[xi+] (read-only, shared per p)."""
+    g = (p - 1) // 2
+    k = np.tile(np.arange(1, g + 1), 2)
+    shift = np.repeat([0, 1], g)
+    X = np.zeros((p, 2 * g), dtype=np.int64)  # coefficients of xi**0 .. xi**(p-1)
+    X[(shift + k) % p, np.arange(2 * g)] = 1
+    X[(shift - k) % p, np.arange(2 * g)] = 1
+    split = X[:-1] - X[-1]  # xi**(p-1) = -(1 + xi + ... + xi**(p-2))
+    split.setflags(write=False)
+    return split
+
+
 @dataclass(frozen=True, eq=False)
 class PeriodData:
     """A period matrix together with the exact data that produced it: the
@@ -405,12 +516,22 @@ def period_matrix(polarization: PolarizationForm) -> PeriodData:
     fixes the block convention: tau = P1^-1 P2 (``block_swapped``) when every
     Im phi_j(alpha) is positive, tau = P2^-1 P1 when every one is negative,
     and with mixed signs the form polarizes no complex structure on this CM
-    type.  Raises ``RiemannRelationsViolated`` naming the quantity that failed.
+    type.  Raises ``RiemannRelationsViolated`` naming the quantity that failed,
+    and ValueError naming the Pfaffian when the form is not principal.
+
+    The symplectic basis is U = split diag(A, (A^T P)^-1), ``_split_basis``:
+    A is an LLL basis of Z[xi+] under x -> sum_j |Im phi_j(alpha)| phi_j(x)**2,
+    phi_j(theta_k) = 2 cos(2 pi j k / p), and its dual under P spans
+    xi Z[xi+].  det(A^T P) = +-1, so the inverse is integral, and
+    U^T E U == J is checked exactly.  The reduced A keeps U small, so that
+    tau and the checks lose little to rounding.
     """
     ctx, cm = polarization.cm_type.ctx, polarization.cm_type
-    E = polarization.gram
+    E, P = polarization.gram, polarization.P
     g = ctx.g
-    U = _symplectic_layout(E, polarization.reduction, polarization.pivots)
+    if abs(polarization.pfaffian) != 1:
+        raise ValueError(f"form is not principal (Pfaffian {polarization.pfaffian}): "
+                         "no symplectic basis")
     violated = (f"Riemann relations violated for c = {list(polarization.c)} "
                 f"on set {list(cm.members)}")
     signs = ["+" if v > 0 else "-" for v in polarization.alpha_imag]
@@ -419,6 +540,13 @@ def period_matrix(polarization: PolarizationForm) -> PeriodData:
             f"{violated}: mixed signs of Im phi(alpha) ({', '.join(signs)})"
         )
     block_swapped = signs[0] == "+"
+    theta = 2 * np.cos(2 * np.pi * np.outer(cm.members, np.arange(1, g + 1)) / ctx.p)
+    A = _lll(theta.T @ (np.abs(polarization.alpha_imag)[:, None] * theta))
+    det, adjugate = _det_adjugate(_matmul(A.T, P))
+    split = _split_basis(ctx.p)
+    U = np.concatenate((_matmul(split[:, :g], A), _matmul(split[:, g:], det * adjugate)),
+                       axis=1).astype(object)
+    U = _verified_symplectic(U, E)
     images = np.exp(2j * np.pi * np.outer(np.array(cm.members), np.arange(ctx.p - 1)) / ctx.p)
     W = images @ U.astype(np.float64)
     P1, P2 = W[:, :g], W[:, g:]

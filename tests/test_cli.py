@@ -1,5 +1,6 @@
 """End-to-end command line behavior: envelopes, formats, exit codes."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -286,11 +287,11 @@ def test_classify_writes_its_output_in_pieces(monkeypatch):
 
 def test_classify_p13_with_lattice_digest(capsys):
     """The lattice witnesses at p = 13, tau included, pinned byte for byte
-    (21459 bytes): a deliberate change of tau must be a recorded edit here."""
+    (21277 bytes): a deliberate change of tau must be a recorded edit here."""
     code, out, _ = run(capsys, "classify", "--p", "13", "--with-lattice")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "42e3476bd3415626c203ab4bfb424e6e7bdbc84b61fef92734ef1d5cecb34b87"
+        "384044a0814a301f8cd06920967dec089fb1f87e9756a101fa866cf244bc8adb"
     )
 
 
@@ -301,8 +302,8 @@ def test_classify_p13_with_lattice_digest(capsys):
      "bb67224a1f2c65f997cbaf26a5a1fc6ebf628234753107b9914aeb047e223335"),
     (("--p", "31", "--format", "table"), 162686,
      "d26f540ed5524010cbeda7ac874fcf87608469e58f43a1c3b59f7216295a0844"),
-    (("--p", "13", "--with-lattice", "--format", "csv"), 10702,
-     "a44a31ca14fcea2b4a58941f32c40cc9e69d8217ab3209e61178681aa009f2b1"),
+    (("--p", "13", "--with-lattice", "--format", "csv"), 10520,
+     "f953ae737b1f5731c4b557cb475ba3dad47f1956c0d08900515642508f587baa"),
 ], ids=["p41-json", "p31-csv", "p31-table", "p13-lattice-csv"])
 def test_classify_output_digest(capsys, argv, size, digest):
     """Larger classify outputs, pinned byte for byte in each format."""
@@ -314,9 +315,8 @@ def test_classify_output_digest(capsys, argv, size, digest):
 
 def test_period_queries_digest(capsys):
     """``period`` on all 96 CM types at p = 11 and 13, pinned byte for byte
-    over stdout, stderr and exit code.  28 of them fail a check with exit 5,
-    and their messages are pinned too: a change of tau or of a failure must
-    be a recorded edit here."""
+    over stdout, stderr and exit code.  Every one passes all five checks: a
+    change of tau or a failure must be a recorded edit here."""
     digest = hashlib.sha256()
     failures = 0
     for p in (11, 13):
@@ -325,9 +325,9 @@ def test_period_queries_digest(capsys):
             code, out, err = run(capsys, "period", "--p", str(p), "--set", members)
             digest.update(f"{code}\n{out}\n{err}\n".encode())
             failures += code != 0
-    assert failures == 28
+    assert failures == 0
     assert digest.hexdigest() == (
-        "f7608092532a894ec2591e73b8e1288c4cabcdb2815c3f81e2aaa484e9c4b5df"
+        "9f7adaef810491045c60e0afe2521adfced8677f12ed46daf9b9b7ac6518f764"
     )
 
 
@@ -452,32 +452,50 @@ def test_internal_mismatch_exits_5(capsys, monkeypatch, command):
     assert "Burnside count" in err
 
 
-def test_failed_check_names_measured_error(capsys):
-    code, out, err = run(capsys, "period", "--p", "11", "--set", "2,4,6,8,10")
-    assert code == 5
-    assert out == ""
-    assert re.search(r"fixes_tau error \d\.?\d*e-\d+ >= 1e-08", err)
+def test_failed_check_names_measured_error(capsys, monkeypatch):
+    """A period point moved by 1e-6 fails fixes_tau and spectrum, and the
+    message gives the error measured for each; classify stops before any
+    output."""
+    real = cli.period_matrix
+
+    def moved(polarization):
+        data = real(polarization)
+        return dataclasses.replace(data, tau=data.tau + 1e-6)
+
+    monkeypatch.setattr(cli, "period_matrix", moved)
+    for argv in (("period", "--p", "11", "--set", "2,4,6,8,10"),
+                 ("classify", "--p", "11", "--with-lattice")):
+        code, out, err = run(capsys, *argv)
+        assert code == 5
+        assert out == ""
+        assert re.fullmatch(r"error: automorphism checks failed for set \[[\d, ]+\]: "
+                            r"fixes_tau error \d\.?\d*e-\d+ >= 1e-08, "
+                            r"spectrum error \d\.?\d*e-\d+ >= 1e-08\n", err)
 
 
-def test_classify_p17_with_lattice_stops_at_a_failed_check(capsys):
-    """The first p = 17 class whose witness fails the tau gate, a numerical
-    false negative of the badly conditioned basis (ROADMAP item 2)."""
+def test_classify_p17_with_lattice_passes_every_check(capsys):
+    """Every class at p = 17 gets a witness that passes all five checks."""
     code, out, err = run(capsys, "classify", "--p", "17", "--with-lattice")
-    assert code == 5
-    assert out == ""
-    assert err == ("error: automorphism checks failed for set [1, 2, 3, 4, 5, 8, 10, 11]: "
-                   "fixes_tau error 1.6e-07 >= 1e-08\n")
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["classes"]
+    assert len(rows) == 16
+    assert all(all(row["lattice"]["checks"].values()) for row in rows)
 
 
-def test_riemann_violation_names_measured_eigenvalue(capsys):
-    """This set fails only through the conditioning of its symplectic basis;
-    ROADMAP item 3 (lattice reduction) retires it, and then this test."""
+def test_riemann_violation_names_measured_eigenvalue(capsys, monkeypatch):
+    """A form whose sign vector is negated picks the wrong block convention:
+    tau is then the inverse of a period point, and Im tau is negative definite."""
+    def negated(ctx, cm, bound=5):
+        pol = build_polarization(cm, (-5, 2, 2, -3, 2, 5))
+        return dataclasses.replace(pol, alpha_imag=tuple(-v for v in pol.alpha_imag))
+
+    monkeypatch.setattr(cli, "find_polarization", negated)
     code, out, err = run(capsys, "period", "--p", "13", "--set", "1,3,5,7,9,11")
     assert code == 5
     assert out == ""
     assert err.startswith("error: Riemann relations violated for c = [-5, 2, 2, -3, 2, 5] "
                           "on set [1, 3, 5, 7, 9, 11]: ")
-    assert re.search(r": min eigenvalue of Im tau -?\d\.?\d*e-\d+ <= 1e-09\n$", err)
+    assert re.search(r": min eigenvalue of Im tau -\d\.?\d*(e-\d+)? <= 1e-09\n$", err)
 
 
 # ---------------------------------------------------------------------------

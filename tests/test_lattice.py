@@ -26,7 +26,7 @@ from extremalav.errors import (
     PolarizationNotFound,
     RiemannRelationsViolated,
 )
-from extremalav.fp import PrimeContext
+from extremalav.fp import PrimeContext, is_prime
 from extremalav.lattice import (
     ALGEBRAIC_TOL,
     COMPOSED_TOL,
@@ -178,6 +178,44 @@ def test_pfaffian_zero_on_degenerate():
     assert pfaffian([[0, 2, 0, 0], [-2, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]) == 0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_det_adjugate_against_rational_elimination(n):
+    """The determinant equals the rational oracle's and M adj(M) = det(M) I;
+    entries in -1..1 make many matrices singular, and entries near 2**62
+    make the minors leave int64."""
+    gen = random.Random(n)
+    for lo, hi in ((-1, 1), (-9, 9), (-2**62, 2**62)):
+        for _ in range(12):
+            M = [[gen.randint(lo, hi) for _ in range(n)] for _ in range(n)]
+            det, adjugate = lattice._det_adjugate(M)
+            assert det == det_oracle(M)
+            if det:
+                assert matmul(M, adjugate.tolist()) == [[det * (i == j) for j in range(n)]
+                                                        for i in range(n)]
+            else:
+                assert adjugate is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 7])
+def test_lll_basis_is_reduced(n):
+    """The columns of A are a basis of Z**n (det +-1), size-reduced, and meet
+    Lovasz's condition with delta = 0.99, with Gram-Schmidt recomputed from a
+    Cholesky factor of A^T G A."""
+    gen = np.random.default_rng(n)
+    for _ in range(10):
+        V = gen.integers(-20, 21, size=(n, n))
+        if round(np.linalg.det(V)) == 0:
+            continue
+        G = (V.T @ V).astype(np.float64)
+        A = lattice._lll(G)
+        assert det_oracle(A.tolist()) in (1, -1)
+        L = np.linalg.cholesky(A.astype(np.float64).T @ G @ A.astype(np.float64))
+        B, mu = np.diag(L) ** 2, L / np.diag(L)
+        assert np.all(np.abs(mu[np.tril_indices(n, -1)]) <= 0.5 + 1e-9)
+        for k in range(1, n):
+            assert B[k] >= (0.99 - mu[k, k - 1] ** 2) * B[k - 1] * (1 - 1e-9)
+
+
 # ---------------------------------------------------------------------------
 # symplectic reduction
 
@@ -284,7 +322,7 @@ def test_int64_products_on_every_period_query():
             power = lattice._power(R, p)
             assert power.dtype == np.int64
             assert np.array_equal(power, np.linalg.matrix_power(R, p))
-    assert queries == 105
+    assert queries == 108
 
 
 def test_symplectic_basis_rejects_imprimitive():
@@ -366,6 +404,24 @@ def test_gram_matrix_structure():
             assert E[a][b] == -E[b][a]
     # numpy integer coefficients still give Python ints, which cannot overflow
     assert {type(x) for x in gram_matrix(ctx, np.array(c)).flat} == {int}
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 62, 2) if is_prime(p)])
+def test_pfaffian_is_det_P_on_the_lagrangian_split(p):
+    """On theta_1..theta_g, xi theta_1..xi theta_g the form vanishes on each
+    half, its block between them is P, and Pf(E) = det P with no sign, the
+    library ``pfaffian`` (a congruence reduction) as the oracle."""
+    ctx = PrimeContext(p)
+    g = ctx.g
+    gen = random.Random(p)
+    split = lattice._split_basis(p).astype(object)
+    for bound in (1, 2, 5):
+        c = [gen.randint(-bound, bound) for _ in range(g)]
+        pol = build_polarization(CmType(ctx, tuple(range(1, g + 1))), c)
+        F = split.T @ pol.gram @ split
+        assert not F[:g, :g].any() and not F[g:, g:].any()
+        assert np.array_equal(F[:g, g:], pol.P)
+        assert pol.pfaffian == pfaffian(pol.gram)
 
 
 def test_alpha_imag_against_complex_arithmetic():
@@ -483,16 +539,16 @@ def test_find_polarization_rejects_a_foreign_prime():
         find_polarization(PrimeContext(11), CmType(PrimeContext(7), (1, 2, 4)))
 
 
-def reduction_with_pfaffian_3(E):
-    """Stands in for the congruence reduction: pivots 3, 1, 1, ... and
-    det T = 1, so every form built from it has Pfaffian 3."""
-    return np.eye(len(E), dtype=object), [3] + [1] * (len(E) // 2 - 1), 1
+def det_adjugate_3(M):
+    """Stands in for the exact g x g elimination: every form built with it
+    has Pfaffian det P = 3."""
+    return 3, np.eye(len(M), dtype=object)
 
 
 def test_find_polarization_exhausts_box(monkeypatch):
     """The exact Pfaffian decides every hit of the closed-form prescreen: with
     no candidate exactly unimodular the search must fail loudly."""
-    monkeypatch.setattr(lattice, "_skew_reduce", reduction_with_pfaffian_3)
+    monkeypatch.setattr(lattice, "_det_adjugate", det_adjugate_3)
     ctx = PrimeContext(7)
     with pytest.raises(PolarizationNotFound, match="no polarization in box"):
         find_polarization(ctx, CmType(ctx, (1, 2, 3)), bound=1)
@@ -501,7 +557,7 @@ def test_find_polarization_exhausts_box(monkeypatch):
 def test_find_polarization_memory_does_not_grow_with_bound(monkeypatch):
     """Exhausting the box [-30, 30]^3 holds a bounded tail table, not all
     61^3 candidates at once."""
-    monkeypatch.setattr(lattice, "_skew_reduce", reduction_with_pfaffian_3)
+    monkeypatch.setattr(lattice, "_det_adjugate", det_adjugate_3)
     ctx = PrimeContext(7)
     tracemalloc.start()
     try:
@@ -794,12 +850,14 @@ def test_mixed_signs_name_the_sign_vector():
 @pytest.mark.parametrize(
     "c,message",
     [
-        ((3, -1, 1), "elementary divisors not all 1 (pivot 43): form is not principal"),
-        ((0, 0, 0), "form is degenerate: no symplectic basis"),
+        ((3, -1, 1), "form is not principal (Pfaffian 43): no symplectic basis"),
+        ((0, 0, 0), "form is not principal (Pfaffian 0): no symplectic basis"),
     ],
+    ids=["pfaffian-43", "degenerate"],
 )
 def test_period_matrix_rejects_non_principal_form(c, message):
-    """U is laid out from the form's own reduction, whose pivots must all be 1."""
+    """U is built from the inverse of A^T P, which is integral only when
+    the Pfaffian det P is +-1."""
     with pytest.raises(ValueError) as exc:
         pipeline(7, (1, 2, 3), c)
     assert str(exc.value) == message
@@ -832,12 +890,7 @@ def sign_rule_cases(p, count=50):
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19])
 def test_sign_rule_picks_the_block_convention(p):
     """All Im phi_j(alpha) > 0 gives the swapped convention, all < 0 the plain
-    one, mixed signs neither.
-
-    A uniform-sign form can still fail the gate on tau when its symplectic
-    basis is badly conditioned (ROADMAP item 3); that failure must then name
-    the measured asymmetry or eigenvalue, never the signs.
-    """
+    one, mixed signs neither; no uniform-sign form fails the gate on tau."""
     ctx = PrimeContext(p)
     for c, members, swapped in sign_rule_cases(p):
         pol = build_polarization(CmType(ctx, sorted(members)), c)
@@ -846,12 +899,7 @@ def test_sign_rule_picks_the_block_convention(p):
             with pytest.raises(RiemannRelationsViolated, match="mixed signs"):
                 period_matrix(pol)
             continue
-        try:
-            data = period_matrix(pol)
-        except RiemannRelationsViolated as exc:
-            assert "asymmetry" in str(exc) or "min eigenvalue of Im tau" in str(exc)
-            continue
-        assert data.block_swapped is swapped
+        assert period_matrix(pol).block_swapped is swapped
 
 
 def count_calls_over_period_queries(monkeypatch, name) -> int:
@@ -877,9 +925,11 @@ def count_calls_over_period_queries(monkeypatch, name) -> int:
 
 
 def test_one_reduction_per_period_query(monkeypatch):
-    """The form keeps the congruence reduction that gave its Pfaffian, and
-    period_matrix lays out U from it instead of reducing again."""
-    assert count_calls_over_period_queries(monkeypatch, "_skew_reduce") == 96
+    """The period path runs no congruence reduction: each query runs one
+    exact g x g elimination for the Pfaffian det P and one for the inverse
+    of A^T P."""
+    assert count_calls_over_period_queries(monkeypatch, "_skew_reduce") == 0
+    assert count_calls_over_period_queries(monkeypatch, "_det_adjugate") == 2 * 96
 
 
 def test_period_query_builds_no_multiplication_matrix(monkeypatch):
@@ -890,8 +940,7 @@ def test_period_query_builds_no_multiplication_matrix(monkeypatch):
 
 def test_exact_matrices_are_read_only():
     data = pipeline(7, (1, 2, 3), (1, -1, 1))
-    for matrix in (data.polarization.gram, data.polarization.reduction,
-                   data.U, data.R):
+    for matrix in (data.polarization.gram, data.polarization.P, data.U, data.R):
         assert matrix.dtype == object and all(type(x) is int for x in matrix.flat)
         with pytest.raises(ValueError, match="read-only"):
             matrix[0, 0] = 1
