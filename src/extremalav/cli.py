@@ -102,7 +102,7 @@ def run_stabilizer(p: int, members: tuple[int, ...]) -> dict:
     ctx = PrimeContext(p)
     cm = CmType(ctx, members)
     stab = stabilizer(cm)
-    return {"p": ctx.p, "set": list(cm.members), "stabilizer": list(stab.elements),
+    return {**cm.to_json(), "stabilizer": list(stab.elements),
             "order": stab.order, "generator": stab.generator}
 
 
@@ -116,8 +116,7 @@ def run_polarize(p: int, members: tuple[int, ...], bound: int = DEFAULT_BOUND) -
     ctx = PrimeContext(p)
     cm = CmType(ctx, members)
     polarization = find_polarization(ctx, cm, bound)
-    return {"p": ctx.p, "set": list(cm.members), "c": list(polarization.c),
-            "pfaffian": polarization.pfaffian}
+    return {**cm.to_json(), "c": list(polarization.c), "pfaffian": polarization.pfaffian}
 
 
 def run_period(p: int, members: tuple[int, ...], bound: int = DEFAULT_BOUND) -> dict:
@@ -172,10 +171,6 @@ def _int_list_json(ints: list, decimal=str) -> str:
 
 def _field_json(value) -> str:
     """``value`` as ``json.dumps(indent=2)`` writes it at a row field's depth."""
-    if type(value) is bool:
-        return "true" if value else "false"
-    if type(value) is int:
-        return str(value)
     if _is_int_list(value):
         return _int_list_json(value)
     return json.dumps(value, indent=2).replace("\n", _FIELD)

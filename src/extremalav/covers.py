@@ -81,12 +81,9 @@ def spectrum_class(ctx: PrimeContext, spectrum) -> dict:
     Accepts either a spectrum dict or a bare support iterable; rejects
     spectra with repeated characters or whose support is not a CM type.
     """
-    if isinstance(spectrum, dict):
-        if any(m != 1 for m in spectrum.values()):
-            raise ValueError("spectrum has repeated characters: support is not a CM type")
-        support = spectrum_support(spectrum)
-    else:
-        support = tuple(sorted(spectrum))
+    if isinstance(spectrum, dict) and any(m != 1 for m in spectrum.values()):
+        raise ValueError("spectrum has repeated characters: support is not a CM type")
+    support = spectrum_support(spectrum)
     if not is_cm_type(ctx, support):
         raise ValueError(f"support is not a CM type mod {ctx.p}: {list(support)}")
     return classification_row(orbit_class(CmType(ctx, support)))

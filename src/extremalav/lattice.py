@@ -34,7 +34,6 @@ that picks A (the exact check U^T E U == J judges its result), and in the
 period matrix itself and its verification.
 """
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -407,7 +406,7 @@ def find_polarization(ctx: PrimeContext, cm: CmType,
     CM type, and the Pfaffian has the closed form |Pf| = 2**g * prod_j s_j / sqrt(p).
     |Pf| is an integer, so comparing prod_j s_j with sqrt(p) / 2**g to within
     half of that value separates |Pf| = 1 from every other value with room to
-    spare; the exact Pfaffian then decides each hit.
+    spare; the form's ``is_principal_positive`` then decides each hit.
 
     Each s_j is linear in c, so the signs of every tail (the last t
     coefficients, in lexicographic order) are tabled once, and each head (the
@@ -449,7 +448,7 @@ def find_polarization(ctx: PrimeContext, cm: CmType,
         products = (tail_signs[:, positive] + shift).prod(axis=0)
         for idx in positive[np.abs(products - unit_product) < unit_product / 2]:
             form = build_polarization(cm, (*head, *map(int, tails[:, idx])))
-            if abs(form.pfaffian) == 1:
+            if form.is_principal_positive:
                 return form
     raise PolarizationNotFound(
         f"no polarization in box [-{bound}, {bound}]^{g} for set {list(cm.members)} mod {p}"
@@ -463,32 +462,27 @@ def find_polarization(ctx: PrimeContext, cm: CmType,
 def multiplication_matrix(ctx: PrimeContext) -> np.ndarray:
     """Multiplication by xi on the power basis (companion matrix of the p-th
     cyclotomic polynomial)."""
-    M = np.eye(ctx.p - 1, k=-1, dtype=object)
-    M[:, -1] = -1
-    return M
+    return _times_xi(np.eye(ctx.p - 1, dtype=object))
 
 
 def _times_xi(X: np.ndarray) -> np.ndarray:
-    """X @ multiplication_matrix(ctx), exactly, as a shift: column j of the
-    product is column j+1 of X, and the last is minus the row sums, since
-    xi**(p-1) = -(1 + xi + ... + xi**(p-2))."""
+    """X times multiplication by xi on the power basis, exactly, as a shift:
+    column j of the product is column j+1 of X, and the last is minus the row
+    sums, since xi**(p-1) = -(1 + xi + ... + xi**(p-2))."""
     return np.concatenate((X[:, 1:], -X.sum(axis=1, keepdims=True)), axis=1)
 
 
-@functools.cache
 def _split_basis(p: int) -> np.ndarray:
     """Power-basis coordinates of theta_1..theta_g, then xi theta_1..xi theta_g,
     theta_k = xi**k + xi**-k, as columns: a Z-basis of Z[xi] = Z[xi+] +
-    xi Z[xi+] (read-only, shared per p)."""
+    xi Z[xi+]."""
     g = (p - 1) // 2
     k = np.tile(np.arange(1, g + 1), 2)
     shift = np.repeat([0, 1], g)
     X = np.zeros((p, 2 * g), dtype=np.int64)  # coefficients of xi**0 .. xi**(p-1)
     X[(shift + k) % p, np.arange(2 * g)] = 1
     X[(shift - k) % p, np.arange(2 * g)] = 1
-    split = X[:-1] - X[-1]  # xi**(p-1) = -(1 + xi + ... + xi**(p-2))
-    split.setflags(write=False)
-    return split
+    return X[:-1] - X[-1]  # xi**(p-1) = -(1 + xi + ... + xi**(p-2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -656,8 +650,7 @@ def period_report(data: PeriodData) -> tuple[dict, AutomorphismReport]:
     report = automorphism_check(data)
     pol = data.polarization
     doc = {
-        "p": pol.cm_type.ctx.p,
-        "set": list(pol.cm_type.members),
+        **pol.cm_type.to_json(),
         "c": list(pol.c),
         "pfaffian": pol.pfaffian,
         "tau_re": data.tau.real.tolist(),

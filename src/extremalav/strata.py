@@ -87,9 +87,8 @@ def is_isolated(cm: CmType) -> bool:
     return stabilizer(cm).order == 1
 
 
-def is_simple(cm: CmType) -> bool:
-    """True iff the underlying torus is simple; coincides with ``is_isolated``."""
-    return is_isolated(cm)
+# True iff the underlying torus is simple, which for these classes is isolation.
+is_simple = is_isolated
 
 
 class SumVerdict(enum.Enum):

@@ -525,6 +525,23 @@ def test_find_polarization_matches_pure_python_scan(p, bound):
         assert abs(pol.pfaffian) == 1
 
 
+@pytest.mark.parametrize("bound", [1, 2, 5])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_every_returned_form_is_principal_positive(p, bound):
+    """The witness contract: the form's own ``is_principal_positive`` holds
+    on every form that ``find_polarization`` returns, so neither the float
+    prescreen nor a Pfaffian test alone decides a hit."""
+    ctx = PrimeContext(p)
+    for cm in enumerate_cm_types(ctx):
+        assert find_polarization(ctx, cm, bound).is_principal_positive
+
+
+def test_every_class_at_17_gets_a_principal_positive_form():
+    ctx = PrimeContext(17)
+    for cls in orbit_classes(ctx):
+        assert find_polarization(ctx, cls.canonical).is_principal_positive
+
+
 def test_find_polarization_bad_bound():
     ctx = PrimeContext(7)
     for bound in (0, True, 2.5):  # range() would search True as 1 and fail on 2.5

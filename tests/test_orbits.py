@@ -8,7 +8,7 @@ import pytest
 
 from extremalav import orbits
 from extremalav.cmtypes import CmType, enumerate_cm_types
-from extremalav.fp import PrimeContext, element_order, subgroup_generated
+from extremalav.fp import PrimeContext, element_order, is_prime, subgroup_generated
 from extremalav.orbits import (
     OrbitClass,
     act,
@@ -223,3 +223,25 @@ def test_closed_form_fixed_counts_against_enumeration(p):
     assert total % (p - 1) == 0
     assert total // (p - 1) == burnside_count(ctx)
 
+
+def census(p):
+    """Classes by stabilizer order, in closed form.  The order-n subgroup of
+    (Z/p)^* fixes 2**(g/n) CM types for each odd n | g; E(n), the number
+    whose stabilizer has order exactly n, is that minus E(d) for every odd
+    d with n | d | g and d > n.  Each such orbit has (p - 1)/n types."""
+    g = (p - 1) // 2
+    odd = [n for n in range(1, g + 1, 2) if g % n == 0]
+    exact, classes = {}, {}
+    for n in reversed(odd):
+        exact[n] = 2 ** (g // n) - sum(exact[d] for d in odd if d > n and d % n == 0)
+        classes[n], rest = divmod(n * exact[n], p - 1)
+        assert rest == 0, (p, n)
+    return classes
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 42, 2) if is_prime(p)])
+def test_stabilizer_histogram_matches_the_census(p):
+    ctx = PrimeContext(p)
+    expected = census(p)
+    assert Counter(cls.stabilizer.order for cls in orbit_classes(ctx)) == expected
+    assert sum(expected.values()) == burnside_count(ctx)
