@@ -54,17 +54,6 @@ def _lattice_witness(cm: CmType, bound: int) -> dict:
     return doc
 
 
-def _checked_orbit_classes(ctx: PrimeContext, cap: int) -> list:
-    """The orbit classes, cross-checked against the Burnside count."""
-    classes = orbit_classes(ctx, cap)
-    expected = burnside_count(ctx)
-    if expected != len(classes):
-        raise InternalCheckFailed(
-            f"Burnside count {expected} != enumerated orbit count {len(classes)}"
-        )
-    return classes
-
-
 class _Rows:
     """The rows of a class list, each built by ``make_row`` as it is iterated:
     no list of rows is held, and the view can be iterated again."""
@@ -79,23 +68,31 @@ class _Rows:
         return map(self.make_row, self.classes)
 
 
+def _class_document(p: int, cap: int, make_row) -> dict:
+    """The document of every orbit class, cross-checked against the Burnside
+    count, with one row per class built by ``make_row``."""
+    ctx = PrimeContext(p)
+    classes = orbit_classes(ctx, cap)
+    expected = burnside_count(ctx)
+    if expected != len(classes):
+        raise InternalCheckFailed(
+            f"Burnside count {expected} != enumerated orbit count {len(classes)}"
+        )
+    return {"version": __version__, "p": ctx.p, "g": ctx.g,
+            "orbit_count": len(classes), "classes": _Rows(classes, make_row)}
+
+
 def run_classify(p: int, with_lattice: bool = False, bound: int = DEFAULT_BOUND,
                  cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
-    ctx = PrimeContext(p)
-    classes = _checked_orbit_classes(ctx, cap)
-    rows = _Rows(classes, classification_row)
+    doc = _class_document(p, cap, classification_row)
     if with_lattice:  # eager, so that a failed witness exits 5 before any output
-        rows = [{**row, "lattice": _lattice_witness(cls.canonical, bound)}
-                for cls, row in zip(classes, rows)]
-    return {"version": __version__, "p": ctx.p, "g": ctx.g,
-            "orbit_count": len(rows), "classes": rows}
+        doc["classes"] = [{**row, "lattice": _lattice_witness(cls.canonical, bound)}
+                          for cls, row in zip(doc["classes"].classes, doc["classes"])]
+    return doc
 
 
 def run_orbits(p: int, cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
-    ctx = PrimeContext(p)
-    rows = _Rows(_checked_orbit_classes(ctx, cap), OrbitClass.to_json)
-    return {"version": __version__, "p": ctx.p, "g": ctx.g,
-            "orbit_count": len(rows), "classes": rows}
+    return _class_document(p, cap, OrbitClass.to_json)
 
 
 def run_stabilizer(p: int, members: tuple[int, ...]) -> dict:
@@ -115,8 +112,7 @@ def run_dim(q: int, multiplicities: tuple[int, ...]) -> dict:
 def run_polarize(p: int, members: tuple[int, ...], bound: int = DEFAULT_BOUND) -> dict:
     ctx = PrimeContext(p)
     cm = CmType(ctx, members)
-    polarization = find_polarization(ctx, cm, bound)
-    return {**cm.to_json(), "c": list(polarization.c), "pfaffian": polarization.pfaffian}
+    return find_polarization(ctx, cm, bound).to_json()
 
 
 def run_period(p: int, members: tuple[int, ...], bound: int = DEFAULT_BOUND) -> dict:
@@ -254,15 +250,11 @@ def render(doc: dict, fmt: str) -> str:
     return sink.getvalue()
 
 
-# The options that take a comma-separated list of integers.
-_LIST_FLAGS = frozenset({"--set", "--exponents", "--mults"})
-
-
 class _Parser(argparse.ArgumentParser):
-    """A parser that reads ``--set -1,8,2`` as ``--set=-1,8,2`` for each list
-    flag among its ``long_options``, named in full or by a unique prefix:
-    argparse takes a value that starts with a dash, and is not a plain
-    negative number, for an option."""
+    """A parser that reads ``--set -1,8,2`` as ``--set=-1,8,2`` for each of
+    its ``long_options``, the flags that take a value, named in full or by a
+    unique prefix: argparse takes a value that starts with a dash, and is not
+    a plain negative number, for an option."""
 
     long_options = ()
 
@@ -271,8 +263,7 @@ class _Parser(argparse.ArgumentParser):
         end = args.index("--") if "--" in args else len(args)
         for i in reversed(range(end - 1)):
             names = [name for name in self.long_options if name.startswith(args[i])]
-            flag = args[i] if args[i] in names else names[0] if len(names) == 1 else None
-            if flag in _LIST_FLAGS and re.match(r"-[0-9]", args[i + 1]):
+            if (args[i] in names or len(names) == 1) and re.match(r"-[0-9]", args[i + 1]):
                 args[i:i + 2] = [f"{args[i]}={args[i + 1]}"]
         return super().parse_known_args(args, namespace)
 

@@ -340,15 +340,21 @@ def _live_heads(sines: np.ndarray, t: int, bound: int):
     margin_w = 1e-9 * (1 + bound * g * |w|_1) is far above it, so every
     tail of a skipped head also fails the float compare in
     ``find_polarization``.
+    A block of heads is tested with one product of at most 2**18 doubles;
+    each live head, a tuple of Python ints, gets its shift from its own product.
     """
     g = len(sines)
     weights = _weights(g)
     weighted = weights @ sines
     head_weights = weighted[:, :g - t]
-    floor = (-bound * np.abs(weighted[:, g - t:]).sum(axis=1)
-             - 1e-9 * (1 + bound * g * weights.sum(axis=1)))
-    for head in itertools.product(range(-bound, bound + 1), repeat=g - t):
-        if (head_weights @ head >= floor).all():
+    floor = (-bound * np.abs(weighted[:, g - t:]).sum(axis=1, keepdims=True)
+             - 1e-9 * (1 + bound * g * weights.sum(axis=1, keepdims=True)))
+    width = 2 * bound + 1
+    place = np.array([width ** k for k in range(g - t - 1, -1, -1)])[:, None]
+    block = max(1, (1 << 18) // len(weights))
+    for start in range(0, width ** (g - t), block):
+        heads = np.arange(start, min(start + block, width ** (g - t))) // place % width - bound
+        for head in map(tuple, heads[:, (head_weights @ heads >= floor).all(axis=0)].T.tolist()):
             yield head, (sines[:, :g - t] @ head)[:, None]
 
 
@@ -375,6 +381,9 @@ class PolarizationForm:
     @property
     def is_principal_positive(self) -> bool:
         return abs(self.pfaffian) == 1 and all(v > 0 for v in self.alpha_imag)
+
+    def to_json(self) -> dict:
+        return {**self.cm_type.to_json(), "c": list(self.c), "pfaffian": self.pfaffian}
 
 
 def build_polarization(cm: CmType, c) -> PolarizationForm:
@@ -648,11 +657,8 @@ def automorphism_check(data: PeriodData) -> AutomorphismReport:
 def period_report(data: PeriodData) -> tuple[dict, AutomorphismReport]:
     """JSON-ready description of a period point plus its check report."""
     report = automorphism_check(data)
-    pol = data.polarization
     doc = {
-        **pol.cm_type.to_json(),
-        "c": list(pol.c),
-        "pfaffian": pol.pfaffian,
+        **data.polarization.to_json(),
         "tau_re": data.tau.real.tolist(),
         "tau_im": data.tau.imag.tolist(),
         "block_swapped": data.block_swapped,

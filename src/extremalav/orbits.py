@@ -101,17 +101,15 @@ class OrbitClass:
 
 
 def orbit_class(cm: CmType) -> OrbitClass:
-    """The class of ``cm``, read off its sorted translates by k = 1..p-1:
-    the smallest is the canonical form, and those equal to ``cm`` count the
-    stabilizer.
+    """The class of ``cm``: the smallest of its sorted translates by
+    k = 1..p-1 is the canonical form, and ``stabilizer(cm)`` the stabilizer.
 
     The group is abelian, so every member of the orbit has the stabilizer of
     ``cm``.
     """
-    p = cm.ctx.p
-    translates = [tuple(sorted(k * s % p for s in cm.members)) for k in range(1, p)]
-    stab = _subgroup(cm.ctx, translates.count(translates[0]))
-    return OrbitClass(CmType(cm.ctx, min(translates)), (p - 1) // stab.order, stab)
+    p, stab = cm.ctx.p, stabilizer(cm)
+    canonical = min(tuple(sorted(k * s % p for s in cm.members)) for k in range(1, p))
+    return OrbitClass(CmType(cm.ctx, canonical), (p - 1) // stab.order, stab)
 
 
 def _byte_tables(targets: list[int]) -> np.ndarray:

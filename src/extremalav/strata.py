@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .cmtypes import CmType
 from .fp import PrimeContext, element_order, is_int, is_prime
-from .orbits import OrbitClass, act, stabilizer
+from .orbits import OrbitClass, _subgroup, stabilizer
 # Not called here: kept so that the layer tracer in bench/layers.py can wrap it.
 from .orbits import canonical_form  # noqa: F401
 
@@ -116,7 +116,7 @@ def stabilizer_element_profile(cm: CmType, u: int) -> SpectrumProfile:
     u = ctx.check_residue(u)
     if u == 1:
         raise ValueError("u = 1 carries no stratum information")
-    if act(u, cm) != cm:
+    if u not in stabilizer(cm).elements:
         raise ValueError(f"{u} does not stabilize {list(cm.members)} mod {ctx.p}")
     q = element_order(ctx, u)
     if not is_prime(q):
@@ -156,7 +156,7 @@ def _strata(ctx: PrimeContext, order: int) -> list[StratumReport]:
     reports = []
     for q in range(2, order + 1):
         if order % q == 0 and is_prime(q):
-            theta = next(k for k in range(2, ctx.p) if pow(k, q, ctx.p) == 1)
+            theta = _subgroup(ctx, q).generator
             profile = SpectrumProfile(q, (ctx.g // q,) * q)
             reports.append(StratumReport(q, theta, profile, stratum_dimension(profile)))
     return reports

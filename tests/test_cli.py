@@ -482,6 +482,15 @@ def test_classify_p17_with_lattice_passes_every_check(capsys):
     assert all(all(row["lattice"]["checks"].values()) for row in rows)
 
 
+def test_classify_p19_with_lattice_passes_every_check(capsys):
+    """Every class at p = 19 gets a witness that passes all five checks."""
+    code, out, err = run(capsys, "classify", "--p", "19", "--with-lattice")
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["classes"]
+    assert len(rows) == 30
+    assert all(all(row["lattice"]["checks"].values()) for row in rows)
+
+
 def test_riemann_violation_names_measured_eigenvalue(capsys, monkeypatch):
     """A form whose sign vector is negated picks the wrong block convention:
     tau is then the inverse of a period point, and Im tau is negative definite."""

@@ -669,6 +669,70 @@ def test_heads_compared_over_lattice_box_classes(monkeypatch):
     assert (visited, compared) == (250, 90)
 
 
+def per_head_live_heads(sines, t, bound, limit=None):
+    """The head skip one head at a time, over the first ``limit`` heads of
+    the box: the reference for ``_live_heads``, which tests heads in blocks."""
+    g = len(sines)
+    weights = lattice._weights(g)
+    weighted = weights @ sines
+    floor = (-bound * np.abs(weighted[:, g - t:]).sum(axis=1)
+             - 1e-9 * (1 + bound * g * weights.sum(axis=1)))
+    box = itertools.product(range(-bound, bound + 1), repeat=g - t)
+    for head in itertools.islice(box, limit):
+        if (weighted[:, :g - t] @ head >= floor).all():
+            yield head, (sines[:, :g - t] @ head)[:, None]
+
+
+def assert_live_heads_match(cm, bound=5, limit=None):
+    """``_live_heads`` yields the reference's heads, as tuples of Python ints
+    in the same order, each with a shift of the same doubles, up to the head
+    of lexicographic rank ``limit``."""
+    g, t = cm.ctx.g, tail_count(cm.ctx.g, bound)
+    sines = lattice._sines(cm)
+    actual = lattice._live_heads(sines, t, bound)
+    if limit is not None:
+        width = 2 * bound + 1
+        stop = tuple(limit // width ** k % width - bound for k in range(g - t - 1, -1, -1))
+        actual = itertools.takewhile(lambda item: item[0] < stop, actual)
+    actual, expected = list(actual), list(per_head_live_heads(sines, t, bound, limit))
+    assert [head for head, _ in actual] == [head for head, _ in expected]
+    assert {type(x) for head, _ in actual for x in head} <= {int}
+    for (_, shift), (_, reference) in zip(actual, expected):
+        assert shift.shape == reference.shape and shift.tobytes() == reference.tobytes()
+    return len(actual)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_live_heads_match_the_per_head_loop(p):
+    """Every CM type at p <= 13, at bound 5 (p = 3, 5 and 7 have one empty
+    head, p = 13 has 11**2)."""
+    for cm in enumerate_cm_types(PrimeContext(p)):
+        assert assert_live_heads_match(cm) >= 1
+
+
+@pytest.mark.parametrize("p,limit", [(17, None), (19, 10_000), (23, 30_000)])
+def test_live_heads_match_the_per_head_loop_across_blocks(p, limit):
+    """Three seeded CM types: all 11**4 heads at p = 17 (a block holds 2849),
+    and the first heads at p = 19 and 23, 5 blocks of 2032 and 27 of 1134."""
+    types = list(enumerate_cm_types(PrimeContext(p)))
+    sample = random.Random(p).sample(types, 3)
+    assert sum(assert_live_heads_match(cm, limit=limit) for cm in sample) > 0
+
+
+def test_box_search_memory_at_p23():
+    """The blocks of heads keep the search at p = 23 within a few MB."""
+    ctx = PrimeContext(23)
+    cm = CmType(ctx, (1, 2, 3, 4, 5, 9, 11, 13, 15, 16, 17))
+    tracemalloc.start()
+    try:
+        pol = find_polarization(ctx, cm)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pol.c == (-5, 2, 5, -3, -4, 3, 3, -2, -3, 1, 4)
+    assert peak < 8 * 2**20
+
+
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])
 def test_pfaffian_closed_form(p):
     """|Pf| = prod_{j in C} |2 s_j| / sqrt(p), s_j = sum_k c_k sin(2 pi j k / p), for
