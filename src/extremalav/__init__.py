@@ -43,6 +43,7 @@ from .orbits import (
     act,
     burnside_count,
     canonical_form,
+    census,
     orbit_class,
     orbit_classes,
     stabilizer,
@@ -67,7 +68,7 @@ __all__ = [
     "PrimeContext", "is_prime", "element_order", "subgroup_generated",
     "CmType", "is_cm_type", "enumerate_cm_types",
     "act", "canonical_form", "stabilizer", "Stabilizer",
-    "OrbitClass", "orbit_class", "orbit_classes", "burnside_count",
+    "OrbitClass", "orbit_class", "orbit_classes", "burnside_count", "census",
     "SpectrumProfile", "StratumReport", "SumVerdict",
     "stratum_dimension", "extremal_profile", "is_isolated", "is_simple",
     "sum_criterion", "stabilizer_element_profile", "containing_strata",

@@ -13,6 +13,8 @@ import re
 import sys
 from itertools import chain, islice
 
+import numpy as np
+
 from . import __version__
 from .cmtypes import DEFAULT_ENUMERATION_CAP, CmType
 from .covers import CyclicCoverSpec, cover_genus, cw_spectrum, spectrum_class, spectrum_support
@@ -24,7 +26,7 @@ from .errors import (
 )
 from .fp import PrimeContext
 from .lattice import DEFAULT_BOUND, find_polarization, period_matrix, period_report
-from .orbits import OrbitClass, burnside_count, orbit_classes, stabilizer
+from .orbits import ClassTable, OrbitClass, burnside_count, census, orbit_classes, stabilizer
 from .strata import SpectrumProfile, classification_row, stratum_dimension
 
 # The exit code of each error class; the module docstring says what they mean.
@@ -55,10 +57,10 @@ def _lattice_witness(cm: CmType, bound: int) -> dict:
 
 
 class _Rows:
-    """The rows of a class list, each built by ``make_row`` as it is iterated:
-    no list of rows is held, and the view can be iterated again."""
+    """The rows of a class table, each built by ``make_row`` as it is
+    iterated: no list of rows is held, and the view can be iterated again."""
 
-    def __init__(self, classes: list, make_row):
+    def __init__(self, classes: ClassTable, make_row):
         self.classes, self.make_row = classes, make_row
 
     def __len__(self) -> int:
@@ -67,10 +69,33 @@ class _Rows:
     def __iter__(self):
         return map(self.make_row, self.classes)
 
+    def json_chunks(self):
+        """The rows as ``json.dumps(indent=2)`` writes them inside
+        ``classes``, one decoded chunk of the table at a time.
+
+        Every field of a row but ``canonical`` and ``sum_mod_p`` depends on
+        the class's stabilizer order alone, so each order's row is built
+        once, by ``make_row`` on its first class, and encoded as a template;
+        each class then encodes only those two fields, from its members.  No
+        ``OrbitClass``, ``CmType`` or dict is built per class.
+        """
+        table, p = self.classes, self.classes.ctx.p
+        decimal = [str(n) for n in range(p)].__getitem__
+        encoders = {"canonical": lambda members: _int_list_json(members, decimal),
+                    "sum_mod_p": lambda members: decimal(sum(members) % p)}
+        rows = {n: self.make_row(table[int(np.argmax(table.orders == n))])
+                for n in table.stabilizers}
+        templates = {n: _row_template(row, encoders) for n, row in rows.items()}
+        fields = [encoders[key] for key in next(iter(rows.values())) if key in encoders]
+        for members, orders in table.chunks(_CHUNK_ROWS):
+            columns = [list(map(encode, members)) for encode in fields]
+            yield [templates[n] % values for n, values in zip(orders, zip(*columns))]
+
 
 def _class_document(p: int, cap: int, make_row) -> dict:
-    """The document of every orbit class, cross-checked against the Burnside
-    count, with one row per class built by ``make_row``."""
+    """The document of every orbit class, cross-checked against the
+    closed-form census (its total is the Burnside count), with one row per
+    class built by ``make_row``."""
     ctx = PrimeContext(p)
     classes = orbit_classes(ctx, cap)
     expected = burnside_count(ctx)
@@ -78,6 +103,14 @@ def _class_document(p: int, cap: int, make_row) -> dict:
         raise InternalCheckFailed(
             f"Burnside count {expected} != enumerated orbit count {len(classes)}"
         )
+    # The totals agree, so once every order of the census matches, no other order has a class.
+    found = np.bincount(classes.orders, minlength=ctx.g + 1).tolist()
+    for n, count in census(ctx).items():
+        if found[n] != count:
+            raise InternalCheckFailed(
+                f"census count {count} != enumerated count {found[n]} "
+                f"of classes with stabilizer order {n}"
+            )
     return {"version": __version__, "p": ctx.p, "g": ctx.g,
             "orbit_count": len(classes), "classes": _Rows(classes, make_row)}
 
@@ -195,10 +228,28 @@ def _rows_json(rows: list) -> list:
     if {*map(type, keys)} != {str} or any(
             type(row) is not dict or list(row) != keys for row in rows):
         return [json.dumps(row, indent=2).replace("\n", _ROW) for row in rows]
-    template = "{" + _FIELD + ("," + _FIELD).join(
-        json.dumps(key).replace("%", "%%") + ": %s" for key in keys) + _ROW + "}"
+    template = _row_template(rows[0], keys)
     columns = [_column_json([row[key] for row in rows]) for key in keys]
     return [template % fields for fields in zip(*columns)]
+
+
+def _row_template(row: dict, slots) -> str:
+    """``row`` as ``json.dumps(indent=2)`` writes it inside ``classes``,
+    with ``%s`` for the value of each key in ``slots``."""
+    return "{" + _FIELD + ("," + _FIELD).join(
+        json.dumps(key).replace("%", "%%") + ": "
+        + ("%s" if key in slots else _field_json(value).replace("%", "%%"))
+        for key, value in row.items()) + _ROW + "}"
+
+
+def _json_chunks(rows):
+    """The JSON texts of ``rows``, ``_CHUNK_ROWS`` rows at a time."""
+    if isinstance(rows, _Rows):
+        yield from rows.json_chunks()
+        return
+    rows = iter(rows)
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        yield _rows_json(chunk)
 
 
 def _write_rows_json(doc: dict, sink) -> None:
@@ -208,10 +259,10 @@ def _write_rows_json(doc: dict, sink) -> None:
     marker = '\n  "classes": ['
     head, _, tail = json.dumps({**doc, "classes": []}, indent=2).partition(marker + "]")
     sink.write(head + marker)
-    rows, separator = iter(doc["classes"]), _ROW
-    while chunk := list(islice(rows, _CHUNK_ROWS)):
+    separator = _ROW
+    for chunk in _json_chunks(doc["classes"]):
         sink.write(separator)
-        sink.write(("," + _ROW).join(_rows_json(chunk)))
+        sink.write(("," + _ROW).join(chunk))
         separator = "," + _ROW
     sink.write(("]" if separator == _ROW else "\n  ]") + tail)
 

@@ -6,15 +6,17 @@ of orbits.  ``orbit_classes`` finds every orbit in one numpy sweep over
 indicator words.  A single CM type's class, and with it its canonical form,
 is read off its sorted translates by ``orbit_class``, and its stabilizer
 alone from membership: the units that map every member back into the type.
-The orbit count is cross-checked by a Burnside (orbit-counting lemma)
-computation that never touches the enumeration: a translate-by-k fixed point
-is a union of <k>-cosets, and negation pairs those cosets up whenever -1 is
-outside <k>.
+The sweep is cross-checked by a closed-form census that never touches the
+enumeration: the classes of each stabilizer order, counted from the CM types
+that are unions of cosets of each subgroup, and their total, the orbit count
+of the Burnside (orbit-counting) lemma.
 
 (Z/p)^* is cyclic, with one subgroup of each order n dividing p-1, the n-th
 roots of unity, so a stabilizer is found as its order alone.
 """
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,8 @@ from .fp import PrimeContext, element_order
 WORD_BITS = 64
 #: Choice masks per numpy pass of the sweep.
 CHUNK = 1 << 16
+#: Classes per decoded chunk when a class table is iterated.
+DECODE_ROWS = 128
 
 
 def act(k: int, cm: CmType) -> CmType:
@@ -144,7 +148,48 @@ def _members(ctx: PrimeContext, words: np.ndarray) -> list[tuple[int, ...]]:
     return list(map(tuple, residues.reshape(-1, ctx.g).tolist()))
 
 
-def orbit_classes(ctx: PrimeContext, cap: int = DEFAULT_ENUMERATION_CAP) -> list[OrbitClass]:
+class ClassTable(Sequence):
+    """The orbit classes of a sweep in class order, held as the descending
+    survivor words and their stabilizer orders: a class is decoded only when
+    it is read, one chunk of words at a time, so no list of classes is held.
+
+    It compares equal to any sequence of the same classes, such as a list.
+    """
+
+    def __init__(self, ctx: PrimeContext, words: np.ndarray, orders: np.ndarray):
+        self.ctx, self.words, self.orders = ctx, words, orders
+        present = np.flatnonzero(np.bincount(orders)).tolist()
+        self.stabilizers = {n: _subgroup(ctx, n) for n in present}
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __getitem__(self, i: int) -> OrbitClass:
+        i = range(len(self))[operator.index(i)]
+        return self._class(_members(self.ctx, self.words[i:i + 1])[0], int(self.orders[i]))
+
+    def __iter__(self):
+        for members, orders in self.chunks(DECODE_ROWS):
+            yield from map(self._class, members, orders)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def chunks(self, size: int):
+        """Per step, the ascending members and the stabilizer orders of the
+        next ``size`` classes, as lists."""
+        for start in range(0, len(self), size):
+            stop = start + size
+            yield _members(self.ctx, self.words[start:stop]), self.orders[start:stop].tolist()
+
+    def _class(self, members: tuple[int, ...], order: int) -> OrbitClass:
+        return OrbitClass(CmType._unchecked(self.ctx, members), (self.ctx.p - 1) // order,
+                          self.stabilizers[order])
+
+
+def orbit_classes(ctx: PrimeContext, cap: int = DEFAULT_ENUMERATION_CAP) -> ClassTable:
     """All orbits, sorted by canonical representative.
 
     A CM type is swept as its indicator word, residue r at bit p-1-r.  Among
@@ -157,7 +202,8 @@ def orbit_classes(ctx: PrimeContext, cap: int = DEFAULT_ENUMERATION_CAP) -> list
     residue 1 are swept, since every orbit's largest word contains it; their
     translate by -1, the complement, never beats them.  A survivor's
     stabilizer order counts 1 and the k whose translate equals it.  Memory
-    is one chunk, the survivors and the classes.
+    is one chunk of choice masks, the survivor words and their orders: the
+    returned table decodes a class only when it is read.
     """
     check_cap(ctx, cap)
     p, g = ctx.p, ctx.g
@@ -178,29 +224,49 @@ def orbit_classes(ctx: PrimeContext, cap: int = DEFAULT_ENUMERATION_CAP) -> list
         parts.append(w)
     # Descending and contiguous: _permute views the buffer as bytes.
     survivors = np.sort(np.concatenate(parts))[::-1].copy()
-    orders = np.ones(len(survivors), dtype=np.int64)
+    orders = np.ones(len(survivors), dtype=np.uint8)  # an order divides g <= 32
     for table in moves:
         orders += survivors == _permute(table, survivors)
-    stabs = {n: _subgroup(ctx, n) for n in set(orders.tolist())}
-    classes = []
-    for start in range(0, len(survivors), CHUNK):
-        stop = start + CHUNK
-        for members, n in zip(_members(ctx, survivors[start:stop]), orders[start:stop].tolist()):
-            classes.append(OrbitClass(CmType._unchecked(ctx, members), (p - 1) // n, stabs[n]))
+    return ClassTable(ctx, survivors, orders)
+
+
+def _mobius(n: int) -> int:
+    """The Moebius function: 0 when a square > 1 divides n, else -1 to the
+    number of prime factors."""
+    sign, q = 1, 2
+    while n > 1:
+        if n % q == 0:
+            n //= q
+            if n % q == 0:
+                return 0
+            sign = -sign
+        q += 1
+    return sign
+
+
+def census(ctx: PrimeContext) -> dict[int, int]:
+    """The number of classes of each stabilizer order n, in closed form.
+
+    A stabilizer has odd order n | g, since -1 stabilizes no CM type.  For
+    odd d | g the order-d subgroup fixes the 2**(g/d) CM types that are
+    unions of its cosets taking one coset of each negation-paired couple, so
+    by Moebius inversion over the odd divisors
+    E(n) = sum over odd d with n | d | g of mu(d/n) * 2**(g/d)
+    types have a stabilizer of order exactly n.  Their orbits have
+    (p-1)/n members, so they form n*E(n)/(p-1) classes.
+    """
+    g = ctx.g
+    odd = [d for d in range(1, g + 1, 2) if g % d == 0]
+    classes = {}
+    for n in odd:
+        exact = sum(_mobius(d // n) * 2 ** (g // d) for d in odd if d % n == 0)
+        classes[n], rest = divmod(n * exact, ctx.p - 1)
+        if rest:
+            raise ArithmeticError(f"{exact} types of stabilizer order {n} "
+                                  f"do not fill orbits of size {(ctx.p - 1) // n}")
     return classes
 
 
 def burnside_count(ctx: PrimeContext) -> int:
-    """Number of orbits, via the orbit-counting lemma in closed form.
-
-    Translation by k fixes a CM type iff the type is a union of <k>-cosets
-    containing one coset of each negation-paired couple; that is impossible
-    when -1 lies in <k>, and otherwise leaves 2**(g/ord(k)) choices.
-    """
-    p = ctx.p
-    orders = [element_order(ctx, k) for k in range(1, p)]
-    # -1 is the only element of order 2, so it lies in <k> iff ord(k) is even.
-    total = sum(2 ** (ctx.g // n) for n in orders if n % 2)
-    if total % (p - 1):
-        raise ArithmeticError(f"fixed-point total {total} not divisible by {p - 1}")
-    return total // (p - 1)
+    """Number of orbits: the total of the closed-form ``census``."""
+    return sum(census(ctx).values())

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,10 @@ from extremalav import __version__
 from extremalav.cli import main
 from extremalav.cmtypes import CmType, enumerate_cm_types
 from extremalav.errors import PolarizationNotFound
-from extremalav.fp import PrimeContext
+from extremalav.fp import PrimeContext, is_prime
 from extremalav.lattice import build_polarization
+from extremalav.orbits import ClassTable, OrbitClass, orbit_classes
+from extremalav.strata import classification_row
 
 
 def run(capsys, *argv):
@@ -257,6 +260,48 @@ def test_streamed_rows_render_again(run):
     assert cli.render(doc, "json") == first
 
 
+ORACLE_PRIMES = [p for p in range(3, 32) if is_prime(p)]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_class_rows_render_as_plain_rows(p, fmt):
+    """classify and orbits render as the same document with a plain list of
+    ``classification_row`` / ``to_json`` rows does: ``json.dumps`` for JSON,
+    the list path for csv and table."""
+    classes = orbit_classes(PrimeContext(p))
+    for run, make_row in ((cli.run_classify, classification_row),
+                          (cli.run_orbits, OrbitClass.to_json)):
+        plain = {**run(p), "classes": [make_row(cls) for cls in classes]}
+        expected = json.dumps(plain, indent=2) + "\n" if fmt == "json" else cli.render(plain, fmt)
+        assert cli.render(run(p), fmt) == expected
+
+
+def test_classify_json_memory_at_p41():
+    """The sweep and the JSON rows at p = 41 hold the survivor words and
+    one chunk of rows, not an object per class: with an ``OrbitClass`` held
+    for each of the 26216 classes the peak was 17.9 MiB."""
+
+    class HashingSink:
+        def __init__(self):
+            self.digest = hashlib.sha256()
+
+        def write(self, text):
+            self.digest.update(text.encode())
+
+    sink = HashingSink()
+    tracemalloc.start()
+    try:
+        cli.write(cli.run_classify(41), "json", sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.digest.hexdigest() == (
+        "2b9b189167166da0719036c1d62e220b820402fded79357239ea529e3389545b"
+    )
+    assert peak < 6 * 2**20
+
+
 def test_classify_p37_digest(capsys):
     """The classify output at p = 37, pinned byte for byte (3235761 bytes)."""
     code, out, _ = run(capsys, "classify", "--p", "37")
@@ -450,6 +495,26 @@ def test_internal_mismatch_exits_5(capsys, monkeypatch, command):
     code, _, err = run(capsys, command, "--p", "7")
     assert code == 5
     assert "Burnside count" in err
+
+
+@pytest.mark.parametrize("command", ["classify", "orbits"])
+def test_census_mismatch_exits_5(capsys, monkeypatch, command):
+    """A sweep whose histogram of stabilizer orders differs from the census,
+    with the right total, names the order and both counts."""
+    real = cli.orbit_classes
+
+    def moved(ctx, cap):
+        table = real(ctx, cap)
+        orders = table.orders.copy()
+        orders[0] = 3  # one of the 5 classes of order 1 at p = 13 moved to order 3
+        return ClassTable(ctx, table.words, orders)
+
+    monkeypatch.setattr(cli, "orbit_classes", moved)
+    code, out, err = run(capsys, command, "--p", "13")
+    assert code == 5
+    assert out == ""
+    assert err == ("error: census count 5 != enumerated count 4 "
+                   "of classes with stabilizer order 1\n")
 
 
 def test_failed_check_names_measured_error(capsys, monkeypatch):

@@ -245,3 +245,27 @@ def test_stabilizer_histogram_matches_the_census(p):
     expected = census(p)
     assert Counter(cls.stabilizer.order for cls in orbit_classes(ctx)) == expected
     assert sum(expected.values()) == burnside_count(ctx)
+
+
+def test_closed_form_census_matches_the_oracle():
+    """``orbits.census`` (Moebius inversion) against ``census`` above
+    (subtraction from the largest order down) at every odd prime below
+    1100, and its total against ``burnside_count``."""
+    for p in range(3, 1100, 2):
+        if is_prime(p):
+            ctx = PrimeContext(p)
+            assert orbits.census(ctx) == census(p), p
+            assert burnside_count(ctx) == sum(census(p).values())
+
+
+def test_class_table_reads_as_a_list():
+    ctx = PrimeContext(13)
+    table = orbit_classes(ctx)
+    listed = list(table)
+    assert len(listed) == len(table) == 6
+    assert [table[i] for i in range(-6, 6)] == listed * 2
+    for i in (6, -7):
+        with pytest.raises(IndexError):
+            table[i]
+    assert table == listed and listed == table and table == tuple(listed) and table == table
+    assert table != listed[:-1] and table != listed[::-1]
