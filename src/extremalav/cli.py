@@ -1,7 +1,9 @@
 """Command line driver.
 
 Exit codes: 0 success, 2 invalid input, 3 enumeration cap exceeded,
-4 polarization search exhausted, 5 internal consistency failure.
+4 polarization search exhausted, 5 internal consistency failure, 141
+standard output closed before all of it was written (128 + SIGPIPE, the
+code a shell reports for a writer killed by a closed pipe).
 All output is deterministic: same inputs and version, same bytes.
 """
 
@@ -9,9 +11,9 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
 import sys
-from itertools import chain, islice
 
 import numpy as np
 
@@ -29,7 +31,8 @@ from .lattice import DEFAULT_BOUND, find_polarization, period_matrix, period_rep
 from .orbits import ClassTable, OrbitClass, burnside_count, census, orbit_classes, stabilizer
 from .strata import SpectrumProfile, classification_row, stratum_dimension
 
-# The exit code of each error class; the module docstring says what they mean.
+# The exit code of each error class, then of a reader that closed standard
+# output early; the module docstring says what they mean.
 EXIT_CODES = {
     ValueError: 2,
     EnumerationCapExceeded: 3,
@@ -37,6 +40,7 @@ EXIT_CODES = {
     RiemannRelationsViolated: 5,
     InternalCheckFailed: 5,
 }
+EXIT_BROKEN_PIPE = 141
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -87,7 +91,7 @@ class _Rows:
                 for n in table.stabilizers}
         templates = {n: _row_template(row, encoders) for n, row in rows.items()}
         fields = [encoders[key] for key in next(iter(rows.values())) if key in encoders]
-        for members, orders in table.chunks(_CHUNK_ROWS):
+        for members, orders in table.chunks():
             columns = [list(map(encode, members)) for encode in fields]
             yield [templates[n] % values for n, values in zip(orders, zip(*columns))]
 
@@ -171,12 +175,8 @@ def run_spectrum(p: int, exponents: tuple[int, ...]) -> dict:
 # output formatting
 
 
-def _is_int_list(value) -> bool:
-    return type(value) is list and {*map(type, value)} <= {int}
-
-
 def _cell(value) -> str:
-    if _is_int_list(value):
+    if type(value) is list and {*map(type, value)} <= {int}:
         # A literal "[]" is one shared string, as from json.dumps([]); a fresh
         # one per empty cell costs 1.3 MB at p = 41.
         return "[" + ",".join(map(str, value)) + "]" if value else "[]"
@@ -191,76 +191,33 @@ _ROW = "\n    "
 _FIELD = _ROW + "  "
 _ELEMENT = _FIELD + "  "
 _NEXT_ELEMENT = "," + _ELEMENT
-_CHUNK_ROWS = 128
 
 
-def _int_list_json(ints: list, decimal=str) -> str:
+def _int_list_json(ints: list, decimal) -> str:
     return "[" + _ELEMENT + _NEXT_ELEMENT.join(map(decimal, ints)) + _FIELD + "]" if ints else "[]"
-
-
-def _field_json(value) -> str:
-    """``value`` as ``json.dumps(indent=2)`` writes it at a row field's depth."""
-    if _is_int_list(value):
-        return _int_list_json(value)
-    return json.dumps(value, indent=2).replace("\n", _FIELD)
-
-
-def _column_json(values: list) -> list:
-    """One field of each row in a chunk, with one type test for a column of
-    ints, bools or int lists."""
-    kinds = {*map(type, values)}
-    if kinds == {int}:
-        return list(map(str, values))
-    if kinds == {bool}:
-        return ["true" if value else "false" for value in values]
-    if kinds == {list} and {*map(type, chain.from_iterable(values))} <= {int}:
-        # One str() per distinct int: a dict lookup takes a third of its time.
-        decimal = {n: str(n) for n in {*chain.from_iterable(values)}}.__getitem__
-        return [_int_list_json(ints, decimal) for ints in values]
-    return list(map(_field_json, values))
-
-
-def _rows_json(rows: list) -> list:
-    """Rows as ``json.dumps(indent=2)`` writes them inside ``classes``, a
-    column at a time when every row is a dict with the string keys of the
-    first, in its order."""
-    keys = list(rows[0]) if type(rows[0]) is dict else []
-    if {*map(type, keys)} != {str} or any(
-            type(row) is not dict or list(row) != keys for row in rows):
-        return [json.dumps(row, indent=2).replace("\n", _ROW) for row in rows]
-    template = _row_template(rows[0], keys)
-    columns = [_column_json([row[key] for row in rows]) for key in keys]
-    return [template % fields for fields in zip(*columns)]
 
 
 def _row_template(row: dict, slots) -> str:
     """``row`` as ``json.dumps(indent=2)`` writes it inside ``classes``,
-    with ``%s`` for the value of each key in ``slots``."""
+    with ``%s`` for the value of each key in ``slots``.  Exact, since
+    json.dumps escapes every newline inside a string."""
     return "{" + _FIELD + ("," + _FIELD).join(
         json.dumps(key).replace("%", "%%") + ": "
-        + ("%s" if key in slots else _field_json(value).replace("%", "%%"))
+        + ("%s" if key in slots
+           else json.dumps(value, indent=2).replace("\n", _FIELD).replace("%", "%%"))
         for key, value in row.items()) + _ROW + "}"
 
 
-def _json_chunks(rows):
-    """The JSON texts of ``rows``, ``_CHUNK_ROWS`` rows at a time."""
-    if isinstance(rows, _Rows):
-        yield from rows.json_chunks()
-        return
-    rows = iter(rows)
-    while chunk := list(islice(rows, _CHUNK_ROWS)):
-        yield _rows_json(chunk)
-
-
-def _write_rows_json(doc: dict, sink) -> None:
-    """Write ``json.dumps(doc, indent=2)`` for a document with ``classes``
-    rows, ``_CHUNK_ROWS`` rows (about 60 KB) per write: one write per row, or
-    chunks of a few hundred KB, fragment the heap and raise peak RSS."""
+def _stream_json(doc: dict, sink) -> None:
+    """Write ``json.dumps(doc, indent=2)`` for a document whose ``classes``
+    are a ``_Rows`` view, one decoded chunk of the class table
+    (``orbits.DECODE_ROWS`` rows, about 60 KB) per write: one write per row,
+    or chunks of a few hundred KB, fragment the heap and raise peak RSS."""
     marker = '\n  "classes": ['
     head, _, tail = json.dumps({**doc, "classes": []}, indent=2).partition(marker + "]")
     sink.write(head + marker)
     separator = _ROW
-    for chunk in _json_chunks(doc["classes"]):
+    for chunk in doc["classes"].json_chunks():
         sink.write(separator)
         sink.write(("," + _ROW).join(chunk))
         separator = "," + _ROW
@@ -276,14 +233,15 @@ def _table(doc: dict) -> list[list[str]]:
 
 
 def write(doc: dict, fmt: str, sink) -> None:
-    """Write ``doc`` to the text stream ``sink`` in ``fmt``.  JSON rows are
-    built as they are written; csv and table build every cell first."""
+    """Write ``doc`` to the text stream ``sink`` in ``fmt``.  In JSON only
+    the rows of a class table (classify and orbits) are streamed, built as
+    they are written; every other document is one ``json.dumps``.  csv and
+    table build every cell first."""
     if fmt == "json":
-        # The row writer is exact: json.dumps escapes every newline inside a string.
-        if isinstance(doc.get("classes"), (list, _Rows)):
-            _write_rows_json(doc, sink)
+        if isinstance(doc.get("classes"), _Rows):
+            _stream_json(doc, sink)
         else:
-            json.dump(doc, sink, indent=2)
+            sink.write(json.dumps(doc, indent=2))
         sink.write("\n")
     elif fmt == "csv":
         csv.writer(sink, lineterminator="\n").writerows(_table(doc))
@@ -378,7 +336,16 @@ def main(argv=None) -> int:
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
-    write(doc, args.format, sys.stdout)
+    try:
+        write(doc, args.format, sys.stdout)
+        sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
+    except BrokenPipeError:
+        # The Python docs' recipe: what is left of the output goes to devnull,
+        # so the flush at exit stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     return 0
 
 

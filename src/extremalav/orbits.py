@@ -169,7 +169,7 @@ class ClassTable(Sequence):
         return self._class(_members(self.ctx, self.words[i:i + 1])[0], int(self.orders[i]))
 
     def __iter__(self):
-        for members, orders in self.chunks(DECODE_ROWS):
+        for members, orders in self.chunks():
             yield from map(self._class, members, orders)
 
     def __eq__(self, other) -> bool:
@@ -177,7 +177,7 @@ class ClassTable(Sequence):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
 
-    def chunks(self, size: int):
+    def chunks(self, size: int = DECODE_ROWS):
         """Per step, the ascending members and the stabilizer orders of the
         next ``size`` classes, as lists."""
         for start in range(0, len(self), size):

@@ -163,19 +163,9 @@ def _strata(ctx: PrimeContext, order: int) -> list[StratumReport]:
 
 
 def classification_row(cls: OrbitClass) -> dict:
-    """The classify row of an orbit class: its JSON, then the verdict.
-
-    The verdict comes from the class's own stabilizer order; a trivial one
-    has no containing strata.
-    """
-    canonical, stab = cls.canonical, cls.stabilizer
-    return {
-        "canonical": list(canonical.members),
-        "orbit_size": cls.orbit_size,
-        "stabilizer": list(stab.elements),
-        "stabilizer_order": stab.order,
-        "isolated": stab.order == 1, "simple": stab.order == 1,
-        "sum_mod_p": sum(canonical.members) % canonical.ctx.p,
-        "containing_strata": [] if stab.order == 1
-        else [r.to_json() for r in _strata(canonical.ctx, stab.order)],
-    }
+    """The classify row of an orbit class: its JSON, then the verdict from
+    the class's own stabilizer order (a trivial one has no strata)."""
+    ctx, order = cls.canonical.ctx, cls.stabilizer.order
+    return {**cls.to_json(), "isolated": order == 1, "simple": order == 1,
+            "sum_mod_p": sum(cls.canonical.members) % ctx.p,
+            "containing_strata": [r.to_json() for r in _strata(ctx, order)]}

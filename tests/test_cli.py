@@ -197,9 +197,10 @@ def test_table_format(capsys):
     assert len(lines) == 3
 
 
-# Documents for the JSON row writer: every value type it dispatches on, rows
-# past one write chunk (p >= 29), documents without rows, and synthetic rows
-# that the program never builds.
+# Documents for the JSON writer: class tables streamed past one decoded chunk
+# (p >= 29), the --with-lattice lists and documents without rows, written as
+# one json.dumps, and synthetic documents that the program never builds,
+# which pin render to json.dumps for any document.
 RENDER_DOCUMENTS = [
     *(pytest.param(lambda p=p: cli.run_classify(p), id=str(p))
       for p in [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]),
@@ -636,6 +637,24 @@ def test_module_execution():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["order"] == 3
+
+
+def test_closed_pipe_exits_141_quietly():
+    """A reader that stops after one byte, as ``| head -c1`` does, ends the
+    run with the documented code 141 and nothing on standard error.  The
+    3.2 MB of ``classify --p 37`` overfill the pipe, so the child is still
+    writing when the reader closes it."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "extremalav", "classify", "--p", "37"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    ) as proc:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 141
+    assert err == b""
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):

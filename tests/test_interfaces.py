@@ -1,6 +1,7 @@
 """The names other code relies on: the package exports and the benchmark's
-traced entry points."""
+traced entry points; and rules that every source module keeps."""
 
+import ast
 import inspect
 import json
 import os
@@ -27,6 +28,25 @@ def test_integer_inputs_are_tested_only_in_fp():
     found = [f"{path.name}:{n}: {line.strip()}"
              for path in sorted((ROOT / "src" / "extremalav").glob("*.py")) if path.name != "fp.py"
              for n, line in enumerate(path.read_text().splitlines(), 1) if rule.search(line)]
+    assert found == []
+
+
+def test_every_import_is_used():
+    """Each name a module imports is read in it, unless its line carries
+    ``# noqa: F401``; ``__init__`` imports to export.  Names are read off the
+    syntax tree, so the test needs no linter."""
+    found = []
+    for path in sorted((ROOT / "src" / "extremalav").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        lines, tree = text.splitlines(), ast.parse(text)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{alias.lineno}: {name}"
+                  for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                  for alias in node.names
+                  for name in [alias.asname or alias.name.partition(".")[0]]
+                  if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]]
     assert found == []
 
 
