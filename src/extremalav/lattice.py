@@ -23,9 +23,12 @@ Python ints (dtype=object), exact at any size, and the matrices stored on the
 frozen dataclasses are read-only.  Both halves of Z[xi] = Z[xi+] + xi Z[xi+]
 are Lagrangian for every such form, so each form carries one symmetric
 g x g matrix P, the form between the halves: its Pfaffian is det P, and the
-symplectic basis is the fixed split basis times diag(A, (A^T P)^-1) for any
-basis A of Z[xi+].  One fraction-free elimination gives det P and that
-inverse; the induced lattice automorphism is an integer matrix product.
+symplectic basis (``symplectic_basis``) is the fixed split basis times
+diag(A, (A^T P)^-1) for any basis A of Z[xi+].  One fraction-free
+elimination gives det P and that inverse; the induced lattice automorphism
+is an integer matrix product.  ``pfaffian``, the Pfaffian of any integer
+skew matrix by fraction-free skew elimination, is the independent
+reference for det P.
 Products run in int64 only while a bound on their entries proves that no
 partial sum leaves its range, and on Python ints otherwise.  Floating point
 enters only in the polarization prescreen (the head skip and the sign
@@ -66,28 +69,40 @@ def standard_symplectic(g: int) -> np.ndarray:
 def pfaffian(E) -> int:
     """Exact Pfaffian of an integer skew-symmetric matrix.
 
-    The congruence reduction splits E into 2x2 blocks [[0, d], [-d, 0]] by a
-    unimodular T, and Pf(T^T E T) = det T * Pf(E) with det T = +-1, so the
-    Pfaffian is det T times the product of the d's.
+    Fraction-free skew elimination, the Pfaffian analogue of the Bareiss step
+    in ``_det_adjugate`` (Knuth, "Overlapping Pfaffians", 1996).  The step on
+    the pivot pair (t, t+1), with a = X[t, t+1], u and v the rest of rows t
+    and t+1 and ``previous`` the last pivot, maps the trailing block X to
+    (a X - u v^T + v u^T) // previous.  Entry (i, j) is then the Pfaffian of
+    rows and columns 0..t+1, i, j of E, so every division is exact and no
+    entry grows beyond a sub-Pfaffian; the last pivot is Pf(E).  A zero row
+    in the trailing block makes E degenerate, and swapping two indices
+    negates the Pfaffian.
     """
-    _, pivots, det_T = _skew_reduce(_even_skew(E, "pfaffian"))
-    return det_T * math.prod(pivots)
-
-
-def _even_skew(E, caller: str) -> np.ndarray:
-    """E as an object array of Python ints, checked to be square,
-    even-sized, skew and integral; the messages name the public function
-    that was called."""
     E = np.asarray(E, dtype=object)
     if E.ndim != 2 or E.shape[0] != E.shape[1]:
-        raise ValueError(f"{caller} needs a square matrix")
+        raise ValueError("pfaffian needs a square matrix")
     if len(E) % 2:
-        raise ValueError(f"{caller} undefined for odd dimension")
+        raise ValueError("pfaffian undefined for odd dimension")
     if not np.array_equal(E, -E.T):
-        raise ValueError(f"{caller} needs a skew-symmetric matrix")
+        raise ValueError("pfaffian needs a skew-symmetric matrix")
     if not all(is_int(x) for x in E.flat):
-        raise ValueError(f"{caller} needs an integer matrix")
-    return np.frompyfunc(int, 1, 1)(E)  # numpy integer entries would wrap
+        raise ValueError("pfaffian needs an integer matrix")
+    X = np.frompyfunc(int, 1, 1)(E)  # numpy integer entries would wrap
+    sign, previous = 1, 1
+    for t in range(0, len(X), 2):
+        cols = np.flatnonzero(X[t, t + 1:]) + t + 1
+        if not cols.size:
+            return 0
+        if cols[0] != t + 1:
+            swap = [t + 1, cols[0]]
+            X[swap] = X[swap[::-1]]
+            X[:, swap] = X[:, swap[::-1]]
+            sign = -sign
+        a, u, v = X[t, t + 1], X[t, t + 2:, None], X[t + 1, t + 2:, None]
+        X[t + 2:, t + 2:] = (a * X[t + 2:, t + 2:] - u * v.T + v * u.T) // previous
+        previous = a
+    return sign * previous
 
 
 def _max_abs(X: np.ndarray) -> int:
@@ -116,82 +131,6 @@ def _power(R: np.ndarray, e: int) -> np.ndarray:
         if e:
             R = _matmul(R, R)
     return result
-
-
-def _skew_reduce(E: np.ndarray) -> tuple[np.ndarray, list[int], int]:
-    """Integer congruence reduction of an even-dimensional skew matrix E.
-
-    Returns (T, pivots, det T) with T unimodular and T^T E T block diagonal:
-    rows 2i, 2i+1 hold the block [[0, d], [-d, 0]] with d = pivots[i] > 0.
-    Each step moves a minimal nonzero entry (the least (|v|, i, j), i < j)
-    into pivot position, clears its row pair by Euclidean steps, and splits
-    off the plane.  A degenerate form ends the pivot list with a 0.
-    """
-    n = len(E)
-    G = E.copy()
-    T = np.eye(n, dtype=object)
-    pivots = []
-    det_T = 1
-    rows, cols = np.triu_indices(n, 1)
-    for t in range(0, n, 2):
-        keep = rows >= t
-        rows, cols = rows[keep], cols[keep]
-        while True:
-            values = np.abs(G[rows, cols])
-            nonzero = np.flatnonzero(values)
-            if not nonzero.size:
-                return T, pivots + [0], det_T
-            k = nonzero[np.argmin(values[nonzero])]
-            i, j = int(rows[k]), int(cols[k])
-            # bring b_i, b_j to positions t, t+1, keeping the others in order:
-            # (i - t) + (j - t - 1) adjacent transpositions
-            if (i, j) != (t, t + 1):
-                perm = [*range(t), i, j, *(m for m in range(t, n) if m not in (i, j))]
-                T, G = T[:, perm], G[perm][:, perm]
-                det_T *= (-1) ** (i + j + 1)
-            if G[t, t + 1] < 0:
-                T[:, t + 1] *= -1
-                G[t + 1] *= -1
-                G[:, t + 1] *= -1
-                det_T = -det_T
-            d = G[t, t + 1]
-            # b_k += s_k b_t - r_k b_{t+1} for every k > t+1 leaves E(b_t, b_k)
-            # and E(b_{t+1}, b_k) as their remainders mod d
-            r, s = G[t, t + 2:] // d, G[t + 1, t + 2:] // d
-            T[:, t + 2:] += T[:, t, None] * s - T[:, t + 1, None] * r
-            G[:, t + 2:] += G[:, t, None] * s - G[:, t + 1, None] * r
-            G[t + 2:] += s[:, None] * G[t] - r[:, None] * G[t + 1]
-            if not G[t:t + 2, t + 2:].any():
-                break
-        pivots.append(G[t, t + 1])
-    return T, pivots, det_T
-
-
-def symplectic_basis(E) -> np.ndarray:
-    """Unimodular U with U^T E U equal to the standard symplectic form.
-
-    E must be an integer skew-symmetric matrix with Pfaffian +-1.  Reorders
-    the basis from the congruence reduction into the [[0, I], [-I, 0]] block
-    layout.  Raises ValueError when E is not a square, even-sized skew
-    matrix, is degenerate, or has an elementary divisor above 1 (the form is
-    not principal).
-    """
-    E = _even_skew(E, "symplectic_basis")
-    T, pivots, _ = _skew_reduce(E)
-    for d in pivots:
-        if d == 0:
-            raise ValueError("form is degenerate: no symplectic basis")
-        if d != 1:
-            raise ValueError(f"elementary divisors not all 1 (pivot {d}): form is not principal")
-    n = len(E)
-    return _verified_symplectic(T[:, np.r_[0:n:2, 1:n:2]], E)
-
-
-def _verified_symplectic(U: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """U, once U^T E U == standard_symplectic(g) is checked exactly."""
-    if not np.array_equal(_matmul(_matmul(U.T, E), U), standard_symplectic(len(E) // 2)):
-        raise InternalCheckFailed("symplectic basis failed verification")
-    return U
 
 
 def _det_adjugate(M) -> tuple[int, np.ndarray | None]:
@@ -511,8 +450,37 @@ class PeriodData:
             matrix.setflags(write=False)
 
 
+def symplectic_basis(polarization: PolarizationForm) -> np.ndarray:
+    """Symplectic basis U of Z[xi] for a principal form: U^T E U equals
+    ``standard_symplectic(g)``, checked exactly.
+
+    U = split diag(A, (A^T P)^-1), ``_split_basis``: A is an LLL basis of
+    Z[xi+] under x -> sum_j |Im phi_j(alpha)| phi_j(x)**2,
+    phi_j(theta_k) = 2 cos(2 pi j k / p), and its dual under P spans
+    xi Z[xi+].  det(A^T P) = +-1, so the inverse is integral.  The reduced A
+    keeps U small, so that tau and the checks lose little to rounding.
+    Raises ValueError naming the Pfaffian when the form is not principal.
+    """
+    ctx, cm = polarization.cm_type.ctx, polarization.cm_type
+    E, P = polarization.gram, polarization.P
+    g = ctx.g
+    if abs(polarization.pfaffian) != 1:
+        raise ValueError(f"form is not principal (Pfaffian {polarization.pfaffian}): "
+                         "no symplectic basis")
+    theta = 2 * np.cos(2 * np.pi * np.outer(cm.members, np.arange(1, g + 1)) / ctx.p)
+    A = _lll(theta.T @ (np.abs(polarization.alpha_imag)[:, None] * theta))
+    det, adjugate = _det_adjugate(_matmul(A.T, P))
+    split = _split_basis(ctx.p)
+    U = np.concatenate((_matmul(split[:, :g], A), _matmul(split[:, g:], det * adjugate)),
+                       axis=1).astype(object)
+    if not np.array_equal(_matmul(_matmul(U.T, E), U), standard_symplectic(g)):
+        raise InternalCheckFailed("symplectic basis failed verification")
+    return U
+
+
 def period_matrix(polarization: PolarizationForm) -> PeriodData:
-    """Period matrix of the CM lattice in a symplectic basis for the form.
+    """Period matrix of the CM lattice in the symplectic basis
+    ``symplectic_basis(polarization)``.
 
     With W = (P1 | P2) the images of the symplectic basis under the embeddings
     of the CM type, E(x, y) = -2 sum_j Im phi_j(alpha) Im(phi_j(x) conj phi_j(y))
@@ -521,20 +489,11 @@ def period_matrix(polarization: PolarizationForm) -> PeriodData:
     and with mixed signs the form polarizes no complex structure on this CM
     type.  Raises ``RiemannRelationsViolated`` naming the quantity that failed,
     and ValueError naming the Pfaffian when the form is not principal.
-
-    The symplectic basis is U = split diag(A, (A^T P)^-1), ``_split_basis``:
-    A is an LLL basis of Z[xi+] under x -> sum_j |Im phi_j(alpha)| phi_j(x)**2,
-    phi_j(theta_k) = 2 cos(2 pi j k / p), and its dual under P spans
-    xi Z[xi+].  det(A^T P) = +-1, so the inverse is integral, and
-    U^T E U == J is checked exactly.  The reduced A keeps U small, so that
-    tau and the checks lose little to rounding.
     """
     ctx, cm = polarization.cm_type.ctx, polarization.cm_type
-    E, P = polarization.gram, polarization.P
+    E = polarization.gram
     g = ctx.g
-    if abs(polarization.pfaffian) != 1:
-        raise ValueError(f"form is not principal (Pfaffian {polarization.pfaffian}): "
-                         "no symplectic basis")
+    U = symplectic_basis(polarization)
     violated = (f"Riemann relations violated for c = {list(polarization.c)} "
                 f"on set {list(cm.members)}")
     signs = ["+" if v > 0 else "-" for v in polarization.alpha_imag]
@@ -543,13 +502,6 @@ def period_matrix(polarization: PolarizationForm) -> PeriodData:
             f"{violated}: mixed signs of Im phi(alpha) ({', '.join(signs)})"
         )
     block_swapped = signs[0] == "+"
-    theta = 2 * np.cos(2 * np.pi * np.outer(cm.members, np.arange(1, g + 1)) / ctx.p)
-    A = _lll(theta.T @ (np.abs(polarization.alpha_imag)[:, None] * theta))
-    det, adjugate = _det_adjugate(_matmul(A.T, P))
-    split = _split_basis(ctx.p)
-    U = np.concatenate((_matmul(split[:, :g], A), _matmul(split[:, g:], det * adjugate)),
-                       axis=1).astype(object)
-    U = _verified_symplectic(U, E)
     images = np.exp(2j * np.pi * np.outer(np.array(cm.members), np.arange(ctx.p - 1)) / ctx.p)
     W = images @ U.astype(np.float64)
     P1, P2 = W[:, :g], W[:, g:]

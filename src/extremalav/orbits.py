@@ -177,11 +177,11 @@ class ClassTable(Sequence):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
 
-    def chunks(self, size: int = DECODE_ROWS):
+    def chunks(self):
         """Per step, the ascending members and the stabilizer orders of the
-        next ``size`` classes, as lists."""
-        for start in range(0, len(self), size):
-            stop = start + size
+        next ``DECODE_ROWS`` classes, as lists."""
+        for start in range(0, len(self), DECODE_ROWS):
+            stop = start + DECODE_ROWS
             yield _members(self.ctx, self.words[start:stop]), self.orders[start:stop].tolist()
 
     def _class(self, members: tuple[int, ...], order: int) -> OrbitClass:

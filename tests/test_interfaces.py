@@ -80,7 +80,8 @@ def test_readme_library_examples():
 def test_traced_bench_child_runs(tmp_path):
     """One tiny traced benchmark job: the tracer wraps functions by name and
     binds ``find_polarization``'s ``ctx`` and ``bound``, so renaming any of
-    them fails here rather than in a benchmark run."""
+    them fails here rather than in a benchmark run, and the period query
+    reaches the wrapped ``symplectic_basis``."""
     job = {
         "calls": [
             ["classify", 7, None],
@@ -104,3 +105,4 @@ def test_traced_bench_child_runs(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert [call["code"] for call in result["calls"]] == [0] * len(job["calls"])
     assert (tmp_path / "spans.json").exists()
+    assert result["layers"]["lattice.symplectic_s"] > 0

@@ -99,19 +99,6 @@ def random_skew(n, lo=-9, hi=9):
     return E
 
 
-def random_unimodular(n, steps=12):
-    """Product of integer shears and swaps; determinant stays +-1."""
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(steps):
-        i, j = rng.sample(range(n), 2)
-        if rng.random() < 0.2:
-            V[i], V[j] = V[j], V[i]
-        else:
-            coef = rng.randint(-3, 3)
-            V[i] = [a + coef * b for a, b in zip(V[i], V[j])]
-    return V
-
-
 # ---------------------------------------------------------------------------
 # exact integer linear algebra
 
@@ -217,26 +204,7 @@ def test_lll_basis_is_reduced(n):
 
 
 # ---------------------------------------------------------------------------
-# symplectic reduction
-
-
-def test_symplectic_basis_fixes_standard_form():
-    for g in (1, 2, 3, 5):
-        n = 2 * g
-        assert symplectic_basis(standard_symplectic(g)).tolist() == [
-            [int(i == j) for j in range(n)] for i in range(n)
-        ]
-
-
-@pytest.mark.parametrize("g", [1, 2, 3, 4])
-def test_symplectic_basis_on_scrambled_standard_form(g):
-    J = standard_symplectic(g)
-    for _ in range(6):
-        V = random_unimodular(2 * g)
-        E = matmul(transpose(V), matmul(J, V))
-        U = symplectic_basis(E)
-        assert matmul(transpose(U), matmul(E, U)) == J.tolist()
-        assert det_oracle(U) in (1, -1)
+# the symplectic basis
 
 
 def test_symplectic_basis_on_cm_gram_matrices():
@@ -246,9 +214,23 @@ def test_symplectic_basis_on_cm_gram_matrices():
         (11, (1, 3, 4, 5, 9), (0, -1, 0, 1, 1)),
     ]:
         ctx = PrimeContext(p)
-        E = gram_matrix(ctx, c)
-        U = symplectic_basis(E)
-        assert matmul(transpose(U), matmul(E, U)) == standard_symplectic(ctx.g).tolist()
+        pol = build_polarization(CmType(ctx, members), c)
+        U = symplectic_basis(pol)
+        assert matmul(transpose(U), matmul(pol.gram, U)) == standard_symplectic(ctx.g).tolist()
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_symplectic_basis_is_the_period_basis(p):
+    """On every form the box returns, U is unimodular, U^T E U == J, and U
+    is the basis of the period point."""
+    ctx = PrimeContext(p)
+    J = standard_symplectic(ctx.g).tolist()
+    for cm in enumerate_cm_types(ctx):
+        pol = find_polarization(ctx, cm)
+        U = symplectic_basis(pol)
+        assert det_oracle(U.tolist()) in (1, -1)
+        assert matmul(transpose(U), matmul(pol.gram, U)) == J
+        assert np.array_equal(U, period_matrix(pol).U)
 
 
 def huge_unimodular(n):
@@ -264,7 +246,7 @@ def huge_unimodular(n):
 
 @pytest.mark.parametrize("g", [2, 3, 5])
 def test_exact_beyond_int64(g):
-    """Pfaffians and symplectic bases of forms whose entries overflow int64."""
+    """Pfaffians of forms whose entries overflow int64."""
     J = standard_symplectic(g).tolist()
     E = gram_matrix(PrimeContext(2 * g + 1), [1] * g).tolist()
     assert pfaffian(E) in (1, -1)
@@ -273,8 +255,6 @@ def test_exact_beyond_int64(g):
         F = matmul(transpose(V), matmul(form, V))
         assert max(abs(x) for row in F for x in row) > 2**63
         assert pfaffian(F) == pfaffian_oracle(F) == pfaffian_oracle(form)
-        U = symplectic_basis(F)
-        assert matmul(transpose(U), matmul(F, U)) == J
 
 
 @pytest.mark.parametrize("b, dtype", [(2**31 - 1, np.int64), (2**31, object)])
@@ -326,25 +306,13 @@ def test_int64_products_on_every_period_query():
 
 
 def test_symplectic_basis_rejects_imprimitive():
-    doubled = [[2 * x for x in row] for row in standard_symplectic(2)]
-    with pytest.raises(ValueError, match="elementary divisor"):
-        symplectic_basis(doubled)
-
-
-def test_symplectic_basis_rejects_degenerate_and_odd():
-    with pytest.raises(ValueError):
-        symplectic_basis([[0, 0], [0, 0]])
-    with pytest.raises(ValueError):
-        symplectic_basis([[0]])
-    # A malformed input is a ValueError (exit 2), as for pfaffian, not a
-    # failed internal check or a numpy error.
-    for E in ([[0, 1], [1, 0]],          # symmetric
-              [[1, 1], [-1, 0]],         # nonzero diagonal
-              [[0, 1, 0], [-1, 0, 0]],   # not square
-              [[0, 1], [-1]],            # ragged
-              [[0, True], [-1, 0]]):     # bool entry
-        with pytest.raises(ValueError, match="^symplectic_basis needs a"):
-            symplectic_basis(E)
+    """The doubled principal form (Pfaffian 2**g), a form with Pfaffian 43
+    and the zero form."""
+    cm = CmType(PrimeContext(7), (1, 2, 3))
+    for c, pf in (((2, -2, 2), 8), ((3, -1, 1), 43), ((0, 0, 0), 0)):
+        with pytest.raises(ValueError) as exc:
+            symplectic_basis(build_polarization(cm, c))
+        assert str(exc.value) == f"form is not principal (Pfaffian {pf}): no symplectic basis"
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +378,13 @@ def test_gram_matrix_structure():
 def test_pfaffian_is_det_P_on_the_lagrangian_split(p):
     """On theta_1..theta_g, xi theta_1..xi theta_g the form vanishes on each
     half, its block between them is P, and Pf(E) = det P with no sign, the
-    library ``pfaffian`` (a congruence reduction) as the oracle."""
+    library ``pfaffian`` (a skew elimination) as the oracle.  The last draw,
+    c in [-10**6, 10**6], gives Pfaffians of up to 194 digits at p = 61."""
     ctx = PrimeContext(p)
     g = ctx.g
     gen = random.Random(p)
     split = lattice._split_basis(p).astype(object)
-    for bound in (1, 2, 5):
+    for bound in (1, 2, 5, 10**6):
         c = [gen.randint(-bound, bound) for _ in range(g)]
         pol = build_polarization(CmType(ctx, tuple(range(1, g + 1))), c)
         F = split.T @ pol.gram @ split
@@ -1006,10 +975,9 @@ def count_calls_over_period_queries(monkeypatch, name) -> int:
 
 
 def test_one_reduction_per_period_query(monkeypatch):
-    """The period path runs no congruence reduction: each query runs one
-    exact g x g elimination for the Pfaffian det P and one for the inverse
-    of A^T P."""
-    assert count_calls_over_period_queries(monkeypatch, "_skew_reduce") == 0
+    """Each query builds one symplectic basis and runs one exact g x g
+    elimination for the Pfaffian det P and one for the inverse of A^T P."""
+    assert count_calls_over_period_queries(monkeypatch, "symplectic_basis") == 96
     assert count_calls_over_period_queries(monkeypatch, "_det_adjugate") == 2 * 96
 
 
